@@ -4,6 +4,9 @@ An element is a pair (plus, minus) of team-set bitmasks over a valuation
 space.  The operations mirror the semantic clauses: negation swaps the two
 coordinates, slashed sum builds saturated covers, slashed product is the De
 Morgan dual, and cylindrification existentially projects one variable.
+Where an operand's team set is downward closed (a suit), sum and
+cylindrification run the whole-mask kernels of `downsets`; other team sets
+go through loops over teams.
 
 The law registry collects the equations and inequalities these algebras
 satisfy, each with its exact side conditions, plus a handful of classical
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from .errors import IfgError, GuardExceeded
 from . import syntax, trump
 from .model import Space, bits
+from .downsets import Downsets
 
 GENERATION_CAP = 20000
 
@@ -43,6 +47,7 @@ class AlgebraContext:
         self.omega = Element(1, 1)
         self.mho = Element(self.all_teamsets, self.all_teamsets)
         self.full_j = frozenset(range(nvars))
+        self.downsets = Downsets(self.space)
         self._touched = {}
         self._cyl = {}
         self._add = {}
@@ -82,16 +87,26 @@ class AlgebraContext:
         hit = self._add.get(key)
         if hit is not None:
             return hit
-        touched = self._touched_table(jset)
-        plus = 0
-        for v1 in bits(x.plus):
-            t1 = touched[v1]
-            for v2 in bits(y.plus):
-                if t1 & touched[v2] == 0:
-                    plus |= 1 << (v1 | v2)
+        downsets = self.downsets
+        if downsets.is_downset(x.plus) and downsets.is_downset(y.plus):
+            plus = downsets.or_plus(jset, x.plus, y.plus)
+        else:
+            plus = self._sum_loop(jset, x.plus, y.plus)
         result = Element(plus, x.minus & y.minus)
         self._add[key] = result
         return result
+
+    def _sum_loop(self, jset, left, right):
+        """The plus part of x +_J y by pairs of teams; any team sets."""
+        touched = self._touched_table(jset)
+        right_teams = [(v2, touched[v2]) for v2 in bits(right)]
+        plus = 0
+        for v1 in bits(left):
+            t1 = touched[v1]
+            for v2, t2 in right_teams:
+                if t1 & t2 == 0:
+                    plus |= 1 << (v1 | v2)
+        return plus
 
     def mul(self, jset, x, y):
         return self.neg(self.add(jset, self.neg(x), self.neg(y)))
@@ -102,20 +117,38 @@ class AlgebraContext:
         hit = self._cyl.get(key)
         if hit is not None:
             return hit
+        downsets = self.downsets
+        if downsets.is_downset(x.plus):
+            plus = downsets.exists_plus(n, jset, x.plus)
+        else:
+            plus = self._exists_loop(n, jset, x.plus)
+        if downsets.is_downset(x.minus):
+            minus = downsets.exists_minus(n, x.minus)
+        else:
+            minus = self._exists_all_loop(n, x.minus)
+        result = Element(plus, minus)
+        self._cyl[key] = result
+        return result
+
+    def _exists_loop(self, n, jset, family):
+        """The plus part of C_{n,J}(x) team by team; any team set."""
         space = self.space
         plus = 0
         for team in range(1 << space.count):
             for blocks, values in space.independent_functions(team, jset):
-                if x.plus >> space.variant_team_fn(n, blocks, values) & 1:
+                if family >> space.variant_team_fn(n, blocks, values) & 1:
                     plus |= 1 << team
                     break
+        return plus
+
+    def _exists_all_loop(self, n, family):
+        """The minus part of C_{n,J}(x) team by team; any team set."""
+        space = self.space
         minus = 0
         for team in range(1 << space.count):
-            if x.minus >> space.variant_team_all(team, n) & 1:
+            if family >> space.variant_team_all(team, n) & 1:
                 minus |= 1 << team
-        result = Element(plus, minus)
-        self._cyl[key] = result
-        return result
+        return minus
 
     def dual_cyl(self, n, jset, x):
         return self.neg(self.cyl(n, jset, self.neg(x)))
@@ -177,13 +210,7 @@ def is_rooted(x):
 
 def is_suit(ctx, mask):
     """Nonempty and closed under subsets."""
-    if mask == 0:
-        return False
-    for team in bits(mask):
-        for v in bits(team):
-            if not mask >> (team & ~(1 << v)) & 1:
-                return False
-    return True
+    return mask != 0 and ctx.downsets.is_downset(mask)
 
 
 def is_pair_of_suits(ctx, x):
@@ -540,6 +567,8 @@ def _absorption_flat(ctx, pool):
     for j in ctx.jsets():
         for k in ctx.jsets():
             for x, y in _pairs(pool):
+                if not (is_rooted(x) and is_rooted(y)):
+                    continue
                 if is_flat(ctx, x):
                     if ctx.add(j, x, ctx.mul(k, x, y)) != x:
                         return "flat x + (x * y), J=%s K=%s" % (sorted(j),

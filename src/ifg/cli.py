@@ -6,6 +6,7 @@ selftest.  Exit codes: 0 success, 1 invalid input, 2 guard exceeded,
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import IfgError, GuardExceeded
@@ -232,9 +233,14 @@ def cmd_selftest(args):
     return 3 if failures else 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of main, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:

@@ -1,0 +1,168 @@
+"""Whole-mask kernels on downward-closed team sets.
+
+A team is an int bitmask over valuation indices, and a team set is an int
+bitmask over team indices: bit t says whether team t belongs to it.  A
+downward-closed team set is fixed by its maximal teams, so the operators
+below walk that antichain and handle each maximal team with O(count)
+big-int operations on whole masks, instead of visiting the 2**count teams
+one at a time.  Two facts carry them:
+
+- Adding valuation i to a team that lacks it adds 2**i to the team's index.
+  So (F & HI[i]) >> 2**i, where HI[i] holds the teams that contain i, is
+  the set of teams that a team of F loses when i is dropped from it.
+- For team sets A and B whose teams use disjoint sets of valuations,
+  {a | b : a in A, b in B} is the plain integer product A * B: every a + b
+  equals a | b and determines a and b, so no two terms carry into the
+  same bit.  The same makes (team & digit slice) * repeat copy a slice of
+  valuations to every value of one digit.
+"""
+
+
+def powerset(team):
+    """Team set of all subsets of team: the product of (1 + 2**2**i)."""
+    out = 1
+    while team:
+        low = team & -team
+        out |= out << low
+        team ^= low
+    return out
+
+
+def _hi_mask(i, nbits):
+    """The teams (out of nbits team indices) that contain valuation i."""
+    step = 1 << i
+    mask = ((1 << step) - 1) << step
+    width = step << 1
+    while width < nbits:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+class Downsets:
+    """The kernels over the team sets of one valuation space.
+
+    The operands of maximal, or_plus, exists_plus and exists_minus must be
+    downward closed (the empty team set counts as one); is_downset tells.
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self._hi = None      # HI[i] for each valuation i, built on first use
+        self._slices = {}    # n -> (digit slice for each value b, repeat)
+        # an algebra's closure meets each team set many times
+        self._downset = {}   # team set -> is_downset
+        self._maximal = {}   # team set -> maximal teams
+        self._parts = {}     # (J, team set) -> class-wise powersets
+
+    def _hi_masks(self):
+        if self._hi is None:
+            count = self.space.count
+            self._hi = [_hi_mask(i, 1 << count) for i in range(count)]
+        return self._hi
+
+    def _dropped(self, family):
+        """Teams that become a team of family when one valuation is added."""
+        out = 0
+        for i, hi in enumerate(self._hi_masks()):
+            out |= (family & hi) >> (1 << i)
+        return out
+
+    def is_downset(self, family):
+        """True when every subset of a team of family is in family."""
+        known = self._downset.get(family)
+        if known is None:
+            known = not self._dropped(family) & ~family
+            self._downset[family] = known
+        return known
+
+    def maximal(self, family):
+        """Maximal teams of a downward-closed team set, ascending."""
+        out = self._maximal.get(family)
+        if out is None:
+            rest = family & ~self._dropped(family)
+            out = []
+            while rest:
+                low = rest & -rest
+                out.append(low.bit_length() - 1)
+                rest ^= low
+            self._maximal[family] = out
+        return out
+
+    def _class_parts(self, jset, family):
+        """For each maximal team, the powersets of its parts in ~J classes."""
+        key = (jset, family)
+        out = self._parts.get(key)
+        if out is None:
+            classes, _ = self.space.classes(jset)
+            out = [[powerset(team & c) for c in classes]
+                   for team in self.maximal(family)]
+            self._parts[key] = out
+        return out
+
+    # -- variations of one variable --------------------------------------------
+
+    def _digit_slices(self, n):
+        """(masks of valuations with digit n == b for each b, repeat)."""
+        cached = self._slices.get(n)
+        if cached is None:
+            space = self.space
+            stride = space.size ** n
+            masks = [0] * space.size
+            for i in range(space.count):
+                masks[i // stride % space.size] |= 1 << i
+            repeat = sum(1 << (b * stride) for b in range(space.size))
+            cached = (masks, repeat)
+            self._slices[n] = cached
+        return cached
+
+    def _preimages(self, team, n):
+        """For each value b, the valuations whose n-variant to b is in team."""
+        masks, repeat = self._digit_slices(n)
+        stride = self.space.size ** n
+        return [((team & mask) >> (b * stride)) * repeat
+                for b, mask in enumerate(masks)]
+
+    # -- the operators -----------------------------------------------------------
+
+    def or_plus(self, jset, left, right):
+        """{a | b : a in left, b in right, no ~J class meets both a and b}."""
+        rparts = self._class_parts(jset, right)
+        out = 0
+        for lp in self._class_parts(jset, left):
+            for rp in rparts:
+                product = 1
+                for x, y in zip(lp, rp):
+                    product *= x | y
+                out |= product
+        return out
+
+    def exists_plus(self, n, jset, child):
+        """Teams V with a function V ->_J A whose n-variant of V is in child.
+
+        Per maximal team W of child, V qualifies when each ~J class c of V
+        fits in the preimage of W under one value b: the team set
+        prod_c (union_b powerset(pre_b(W) & c)).
+        """
+        classes, _ = self.space.classes(jset)
+        out = 0
+        for w in self.maximal(child):
+            pres = set(self._preimages(w, n))
+            product = 1
+            for c in classes:
+                part = 0
+                for pre in pres:
+                    part |= powerset(pre & c)
+                product *= part
+            out |= product
+        return out
+
+    def exists_minus(self, n, child):
+        """Teams V whose variation over every value of variable n is in child."""
+        out = 0
+        for w in self.maximal(child):
+            common = self.space.full_team
+            for pre in self._preimages(w, n):
+                common &= pre
+            out |= powerset(common)
+        return out

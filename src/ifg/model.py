@@ -9,6 +9,7 @@ so "01" means v0=0, v1=1.
 
 from .errors import IfgError, ParseError
 from . import syntax
+from .downsets import powerset
 
 
 class Structure:
@@ -150,6 +151,7 @@ class Space:
         self.full_team = (1 << self.count) - 1
         self._classes = {}
         self._variant = {}
+        self._digits = None
 
     # -- valuations ---------------------------------------------------------
 
@@ -168,9 +170,16 @@ class Space:
 
     def digits(self, index):
         """Digit-string form of a valuation; '()' for the empty valuation."""
-        if self.nvars == 0:
-            return "()"
-        return "".join(str(d) for d in self.decode(index))
+        return self._digit_strings()[index]
+
+    def _digit_strings(self):
+        if self._digits is None:
+            if self.nvars == 0:
+                self._digits = ["()"] * self.count
+            else:
+                self._digits = ["".join(str(d) for d in self.decode(i))
+                                for i in range(self.count)]
+        return self._digits
 
     def variant_index(self, index, n, b):
         stride = self.size ** n
@@ -235,7 +244,8 @@ class Space:
 
     def render_team(self, team):
         """Canonical text of a team: sorted digit strings in braces."""
-        return "{%s}" % ",".join(self.digits(i) for i in bits(team))
+        digits = self._digit_strings()
+        return "{%s}" % ",".join(digits[i] for i in bits(team))
 
     def team_classes(self, team, jset):
         """Nonempty intersections of team with the ~J classes, in order."""
@@ -317,12 +327,7 @@ class Space:
 
     def powerset_mask(self, team):
         """Team-set mask whose bits are exactly the subsets of team."""
-        out = 1  # the empty team
-        sub = team
-        while sub:
-            out |= 1 << sub
-            sub = (sub - 1) & team
-        return out
+        return powerset(team)
 
 
 def bits(mask):

@@ -12,6 +12,7 @@ stable uid, so evaluators can memoize by uid.
 """
 
 import re
+import weakref
 from dataclasses import dataclass
 
 from .errors import IfgError, ParseError, GuardExceeded
@@ -99,7 +100,7 @@ def atom_vars(atom):
 
 
 class Node:
-    __slots__ = ("uid", "height", "freevars", "maxindex")
+    __slots__ = ("uid", "height", "freevars", "maxindex", "__weakref__")
 
 
 class Atomic(Node):
@@ -118,16 +119,17 @@ class Exists(Node):
     __slots__ = ("n", "jset", "child")
 
 
-_intern = {}
+# Nodes are held weakly: a node lives as long as some formula or parent node
+# uses it.  Uids are never reused, so a memo keyed by uid cannot confuse a
+# collected node with a later one.
+_intern = weakref.WeakValueDictionary()
 _next_uid = 0
-all_nodes = []  # every interned node, in creation order
 
 
 def _register(node):
     global _next_uid
     node.uid = _next_uid
     _next_uid += 1
-    all_nodes.append(node)
     return node
 
 
@@ -141,7 +143,7 @@ def atomic(atom):
         node.freevars = frozenset(atom_vars(atom))
         node.maxindex = max(node.freevars, default=-1)
         _intern[key] = _register(node)
-    return _intern[key]
+    return node
 
 
 def negate(child):
@@ -154,7 +156,7 @@ def negate(child):
         node.freevars = child.freevars
         node.maxindex = child.maxindex
         _intern[key] = _register(node)
-    return _intern[key]
+    return node
 
 
 def disj(jset, left, right):
@@ -170,7 +172,7 @@ def disj(jset, left, right):
         node.freevars = left.freevars | right.freevars
         node.maxindex = max(left.maxindex, right.maxindex, max(jset, default=-1))
         _intern[key] = _register(node)
-    return _intern[key]
+    return node
 
 
 def exists(n, jset, child):
@@ -186,7 +188,7 @@ def exists(n, jset, child):
         node.freevars = child.freevars - {n}
         node.maxindex = max(child.maxindex, n, max(jset, default=-1))
         _intern[key] = _register(node)
-    return _intern[key]
+    return node
 
 
 def conj(jset, left, right):

@@ -2,16 +2,18 @@
 
 A team V satisfies a formula positively when the verifier can win from every
 valuation in V using one uniform strategy, and negatively when the falsifier
-can.  The evaluator implements the five clause pairs directly, plus a bulk
-winning-teams computation that exploits downward closure of winning teams.
+can.  The evaluator implements the five clause pairs directly, as the
+definitional oracle, plus a bulk winning-teams computation that runs the
+whole-mask kernels of `downsets` on the downward-closed sets of winning
+teams.
 """
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
 from .model import Space, eval_atomic, bits
+from .downsets import Downsets, powerset
 
 MEANING_GUARD = 20
-BULK_LIMIT = 10
 
 
 class Meaning:
@@ -57,8 +59,7 @@ class Evaluator:
         self._atom_masks = {}
         self._memo = {}
         self._bulk = {}
-        self._compose = {}
-        self._touched = {}
+        self.downsets = Downsets(self.space)
 
     def atom_mask(self, atom):
         mask = self._atom_masks.get(atom)
@@ -118,20 +119,6 @@ class Evaluator:
 
     # -- bulk winning-team computation ---------------------------------------
 
-    def _touched_table(self, jset):
-        """For each team, the bitmask of ~J class ids it intersects."""
-        table = self._touched.get(jset)
-        if table is None:
-            space = self.space
-            _, class_of = space.classes(jset)
-            table = [0] * (1 << space.count)
-            for team in range(1, 1 << space.count):
-                low = team & -team
-                i = low.bit_length() - 1
-                table[team] = table[team ^ low] | (1 << class_of[i])
-            self._touched[jset] = table
-        return table
-
     def winning_mask(self, node, positive):
         """Bitmask over all teams: bit V set iff the team satisfies node."""
         if isinstance(node, syntax.Formula):
@@ -141,120 +128,63 @@ class Evaluator:
         if hit is not None:
             return hit
         space = self.space
-        if space.count > BULK_LIMIT:
-            mask = 0
-            for team in range(1 << space.count):
-                if self.satisfies(node, team, positive):
-                    mask |= 1 << team
-            self._bulk[key] = mask
-            return mask
+        if space.count > MEANING_GUARD:
+            raise GuardExceeded("team enumeration needs %d valuations "
+                                "(limit %d)" % (space.count, MEANING_GUARD))
         if isinstance(node, syntax.Atomic):
             amask = self.atom_mask(node.atom)
             if positive:
-                mask = space.powerset_mask(amask)
+                mask = powerset(amask)
             else:
-                mask = space.powerset_mask(space.full_team & ~amask)
+                mask = powerset(space.full_team & ~amask)
         elif isinstance(node, syntax.Not):
             mask = self.winning_mask(node.child, not positive)
         elif isinstance(node, syntax.Or):
             wl = self.winning_mask(node.left, positive)
             wr = self.winning_mask(node.right, positive)
             if positive:
-                mask = self._compose_or_plus(node.jset, wl, wr)
+                mask = self.downsets.or_plus(node.jset, wl, wr)
             else:
                 mask = wl & wr
         elif isinstance(node, syntax.Exists):
             wc = self.winning_mask(node.child, positive)
             if positive:
-                mask = self._compose_exists_plus(node.n, node.jset, wc)
+                mask = self.downsets.exists_plus(node.n, node.jset, wc)
             else:
-                mask = self._compose_exists_minus(node.n, wc)
+                mask = self.downsets.exists_minus(node.n, wc)
         else:
             raise IfgError("not a formula node: %r" % (node,))
         self._bulk[key] = mask
         return mask
 
-    def _compose_or_plus(self, jset, wl, wr):
-        key = ("or", jset, wl, wr)
-        hit = self._compose.get(key)
-        if hit is not None:
-            return hit
-        touched = self._touched_table(jset)
-        mask = 0
-        for v1 in bits(wl):
-            t1 = touched[v1]
-            for v2 in bits(wr):
-                if t1 & touched[v2] == 0:
-                    mask |= 1 << (v1 | v2)
-        self._compose[key] = mask
-        return mask
-
-    def _compose_exists_plus(self, n, jset, wc):
-        key = ("ex", n, jset, wc)
-        hit = self._compose.get(key)
-        if hit is not None:
-            return hit
-        space = self.space
-        maximal = maximal_teams(wc)
-        mask = 1  # the empty team always qualifies
-        for team in range(1, 1 << space.count):
-            for target in maximal:
-                ok = True
-                for block in space.team_classes(team, jset):
-                    if not any(space.variant_team(block, n, b) & ~target == 0
-                               for b in range(space.size)):
-                        ok = False
-                        break
-                if ok:
-                    mask |= 1 << team
-                    break
-        self._compose[key] = mask
-        return mask
-
-    def _compose_exists_minus(self, n, wc):
-        key = ("exm", n, wc)
-        hit = self._compose.get(key)
-        if hit is not None:
-            return hit
-        space = self.space
-        mask = 0
-        for team in range(1 << space.count):
-            if wc >> space.variant_team_all(team, n) & 1:
-                mask |= 1 << team
-        self._compose[key] = mask
-        return mask
-
     # -- meanings and truth values -------------------------------------------
 
     def meaning(self, formula):
-        if self.space.count > MEANING_GUARD:
-            raise GuardExceeded("team enumeration needs %d valuations "
-                                "(limit %d)" % (self.space.count, MEANING_GUARD))
         node = formula.root if isinstance(formula, syntax.Formula) else formula
         result = Meaning(self.space, self.winning_mask(node, True),
                          self.winning_mask(node, False))
-        assert result.check()
+        if not result.check():
+            raise IfgError("meaning of %s breaks the empty-team and "
+                           "disjointness invariants" % syntax.render(node))
         return result
 
     def truth_value(self, formula):
+        """true, false or undetermined: which sign the full team satisfies.
+
+        Up to MEANING_GUARD valuations this reads the full-team bit of the
+        winning masks; above it, only the per-team recursion fits.
+        """
         if not formula.is_sentence():
             raise IfgError("formula is not a sentence: %s" % formula)
         full = self.space.full_team
-        if self.satisfies(formula.root, full, True):
-            return "true"
-        if self.satisfies(formula.root, full, False):
-            return "false"
+        for positive, verdict in ((True, "true"), (False, "false")):
+            if self.space.count <= MEANING_GUARD:
+                holds = self.winning_mask(formula.root, positive) >> full & 1
+            else:
+                holds = self.satisfies(formula.root, full, positive)
+            if holds:
+                return verdict
         return "undetermined"
-
-
-def maximal_teams(teamset_mask):
-    """Maximal teams of a team-set mask, largest first."""
-    teams = sorted(bits(teamset_mask), key=lambda t: (-t.bit_count(), t))
-    out = []
-    for team in teams:
-        if not any(team & ~kept == 0 for kept in out):
-            out.append(team)
-    return out
 
 
 def satisfies(structure, formula, team, positive):

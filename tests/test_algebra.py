@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -201,6 +202,72 @@ def test_cyl_chain_order():
 
 
 # -- the law registry ----------------------------------------------------------------
+
+
+# -- the suit kernels against the loops over teams -------------------------------
+
+
+def _brute_downset(mask):
+    return all(mask >> (team & ~(1 << v)) & 1
+               for team in range(mask.bit_length()) if mask >> team & 1
+               for v in range(team.bit_length()) if team >> v & 1)
+
+
+def _all_double_suits(ctx):
+    suits = [m for m in range(1, ctx.all_teamsets + 1) if _brute_downset(m)]
+    return [Element(p, m) for p in suits for m in suits if p & m == 1]
+
+
+def _sampled_double_suits(ctx, rng, count):
+    """Double suits with plus inside a random valuation set S, minus outside."""
+    space = ctx.space
+    out = []
+    for _ in range(count):
+        inside = rng.randrange(1 << space.count)
+        parts = []
+        for side in (inside, space.full_team & ~inside):
+            mask = 1
+            for _ in range(rng.randint(1, 3)):
+                mask |= space.powerset_mask(rng.randrange(1 << space.count)
+                                            & side)
+            parts.append(mask)
+        out.append(Element(*parts))
+    return out
+
+
+def test_is_suit_matches_brute_force():
+    ctx = AlgebraContext(3, 1)
+    for mask in range(ctx.all_teamsets + 1):
+        assert algebra.is_suit(ctx, mask) == (mask != 0
+                                              and _brute_downset(mask))
+
+
+@pytest.mark.parametrize("size,nvars", [(2, 1), (3, 1), (2, 2)])
+def test_suit_kernels_match_team_loops(size, nvars):
+    ctx = AlgebraContext(size, nvars)
+    if ctx.space.count <= 3:
+        elems = _all_double_suits(ctx)
+    else:
+        elems = _sampled_double_suits(ctx, random.Random(11), 40)
+    assert all(algebra.is_double_suit(ctx, x) for x in elems)
+    for j in ctx.jsets():
+        for x, y in itertools.product(elems, repeat=2):
+            assert ctx.add(j, x, y).plus == ctx._sum_loop(j, x.plus, y.plus)
+        for n in range(nvars):
+            for x in elems:
+                c = ctx.cyl(n, j, x)
+                assert c.plus == ctx._exists_loop(n, j, x.plus)
+                assert c.minus == ctx._exists_all_loop(n, x.minus)
+
+
+def test_absorption_flat_needs_rooted_operands():
+    ctx = AlgebraContext(2, 1)
+    x = Element(1, 0)  # plus only the empty team, minus empty: flat, unrooted
+    y = Element(0, 0)
+    empty = frozenset()
+    assert algebra.is_flat(ctx, x)
+    assert ctx.add(empty, x, ctx.mul(empty, x, y)) != x
+    assert algebra.check_law("absorption-flat", ctx, [x, y]) is None
 
 
 def test_law_registry_api():

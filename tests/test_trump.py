@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
-from ifg import syntax, trump
+from ifg import cli, games, syntax, trump
+from ifg.downsets import Downsets
 from ifg.errors import IfgError, GuardExceeded
 from ifg.model import Structure, Space, bits
+
+from test_syntax import nodes
 
 EQ2 = Structure(2)
 CONST2 = Structure(2, constants={"c0": 0, "c1": 1})
@@ -131,13 +135,78 @@ def test_singleton_base_is_bivalent():
         assert m.plus | m.minus == (1 << (1 << ev.space.count)) - 1
 
 
+def _signature(size):
+    """Interprets every symbol of the hypothesis formulas of test_syntax."""
+    return Structure(
+        size, constants={"c": size - 1, "c0": 0, "c1": 1},
+        functions={"f": (1, {(a,): (a + 1) % size for a in range(size)})},
+        relations={"R": (1, {(0,)}), "P": (1, {(0,)}),
+                   "S": (2, {(a, b) for a in range(size)
+                             for b in range(size) if a <= b})})
+
+
+# counts 4, 8 and 9
+BULK_CASES = [
+    (EQ2, 2, SAMPLE_TEXTS),
+    (_signature(2), 3, [
+        "(v0=c0 \\/{0} P(v1))",
+        "E v2/{0,1} (v0=v2 \\/{1} v1=c1)",
+        "A v0/{} E v2/{0} (v0=v2 /\\{2} ~P(v1))",
+        "E v1/{0} (v0=v1 \\/{2} (v2=c0 /\\{0} v1=v2))",
+        "A v2/{1} E v0/{2} (v0=v2)",
+    ]),
+    (_signature(3), 2, [
+        "(v0=c1 \\/{0} P(v1))",
+        "E v1/{0} (v0=v1 \\/{1} v1=c0)",
+        "A v0/{} E v1/{0} (v0=v1)",
+        "A v1/{0} (v0=c \\/{1} E v0/{} (v0=v1))",
+        "~E v0/{1} (S(v0,v1) /\\{0} ~v1=c0)",
+    ]),
+]
+
+
+def _assert_bulk_matches(ev, node):
+    for sign in (True, False):
+        mask = ev.winning_mask(node, sign)
+        for team in range(1 << ev.space.count):
+            assert (mask >> team & 1) == ev.satisfies(node, team, sign)
+
+
 def test_bulk_matches_per_team():
-    ev = trump.Evaluator(EQ2, 2)
-    for f in sample_formulas():
-        for sign in (True, False):
-            mask = ev.winning_mask(f, sign)
-            for team in range(1 << ev.space.count):
-                assert (mask >> team & 1) == ev.satisfies(f, team, sign)
+    for structure, nvars, texts in BULK_CASES:
+        ev = trump.Evaluator(structure, nvars)
+        for text in texts:
+            _assert_bulk_matches(ev, syntax.parse(text, nvars).root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes.filter(lambda n: n.height <= 4))
+def test_bulk_matches_per_team_count8_random(node):
+    _assert_bulk_matches(trump.Evaluator(_signature(2), 3), node)
+
+
+@settings(max_examples=20, deadline=None)
+@given(nodes.filter(lambda n: n.height <= 4 and n.maxindex < 2))
+def test_bulk_matches_per_team_count9_random(node):
+    _assert_bulk_matches(trump.Evaluator(_signature(3), 2), node)
+
+
+def test_bulk_matches_games_at_count_16(tmp_path, capsys):
+    """The count-16 inputs that the per-team recursion could not finish."""
+    text = "A v0/{} E v1/{0} (v0=v1)"
+    for size, nvars in ((2, 4), (4, 2)):
+        path = tmp_path / ("k%d.ifgs" % size)
+        path.write_text("universe %d\n" % size)
+        argv = ["-s", str(path), "-f", text, "-n", str(nvars)]
+        assert cli.main(["meaning"] + argv) == 0
+        assert cli.main(["truth"] + argv) == 0
+        assert capsys.readouterr().out.endswith("\nundetermined\n")
+        structure = Structure(size)
+        formula = syntax.parse(text, nvars)
+        m = trump.meaning(structure, formula)
+        analyzer = games.GameAnalyzer(structure, nvars)
+        assert m.plus == analyzer.winning_mask(formula.root, 1)
+        assert m.minus == analyzer.winning_mask(formula.root, 0)
 
 
 # -- meanings and truth values ------------------------------------------------------
@@ -174,11 +243,12 @@ def test_truth_values():
 
 
 def test_maximal_teams():
-    assert trump.maximal_teams(0b1) == [0]
+    maximal = Downsets(Space(2, 1)).maximal
+    assert maximal(0b1) == [0]
     # team-set {0, {0}, {1}, {0,1}} has the single maximal team {0,1}
-    assert trump.maximal_teams(0b1111) == [3]
+    assert maximal(0b1111) == [3]
     # {0, {0}, {1}} has two maximal teams
-    assert trump.maximal_teams(0b111) == [1, 2]
+    assert maximal(0b111) == [1, 2]
 
 
 def test_meaning_guard():
