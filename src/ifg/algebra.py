@@ -14,7 +14,7 @@ laws that are expected to fail and do.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IfgError, GuardExceeded
 from . import syntax, trump
@@ -24,8 +24,7 @@ from .downsets import Downsets
 GENERATION_CAP = 20000
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     plus: int
     minus: int
 
@@ -177,8 +176,8 @@ class AlgebraContext:
     def render(self, x):
         space = self.space
         return "plus=[%s] minus=[%s]" % (
-            ",".join(space.render_team(t) for t in bits(x.plus)),
-            ",".join(space.render_team(t) for t in bits(x.minus)))
+            ",".join(space.render_teams(x.plus)),
+            ",".join(space.render_teams(x.minus)))
 
     def dump(self, elements):
         lines = ["base=%d dim=%d count=%d"
@@ -323,36 +322,40 @@ def atomic_formulas(structure, nvars):
     return atoms
 
 
+def _atom_seeds(structure, nvars):
+    """The context and the meanings of the atomic formulas as elements.
+
+    Returns (None, []) when the signature admits no atoms at all.
+    """
+    atoms = atomic_formulas(structure, nvars)
+    if not atoms:
+        return None, []
+    ctx = AlgebraContext(structure.size, nvars)
+    evaluator = trump.Evaluator(structure, nvars)
+    seeds = []
+    for atom in atoms:
+        node = syntax.atomic(atom)
+        seeds.append(Element(evaluator.winning_mask(node, True),
+                             evaluator.winning_mask(node, False)))
+    return ctx, seeds
+
+
 def cyls_of(structure, nvars, cap=GENERATION_CAP):
     """The algebra generated by the meanings of atomic formulas.
 
     Returns the empty list when the signature admits no atoms at all.
     """
-    atoms = atomic_formulas(structure, nvars)
-    if not atoms:
+    ctx, seeds = _atom_seeds(structure, nvars)
+    if ctx is None:
         return []
-    ctx = AlgebraContext(structure.size, nvars)
-    evaluator = trump.Evaluator(structure, nvars)
-    seeds = []
-    for atom in atoms:
-        node = syntax.atomic(atom)
-        seeds.append(Element(evaluator.winning_mask(node, True),
-                             evaluator.winning_mask(node, False)))
     return generate_subalgebra(ctx, seeds, cap)
 
 
 def omega_in_cyls(structure, nvars, cap=GENERATION_CAP):
     """Whether the identity-crisis element belongs to the generated algebra."""
-    atoms = atomic_formulas(structure, nvars)
-    if not atoms:
+    ctx, seeds = _atom_seeds(structure, nvars)
+    if ctx is None:
         return False
-    ctx = AlgebraContext(structure.size, nvars)
-    evaluator = trump.Evaluator(structure, nvars)
-    seeds = []
-    for atom in atoms:
-        node = syntax.atomic(atom)
-        seeds.append(Element(evaluator.winning_mask(node, True),
-                             evaluator.winning_mask(node, False)))
     return generate_subalgebra(ctx, seeds, cap, target=ctx.omega)
 
 

@@ -17,15 +17,7 @@ one at a time.  Two facts carry them:
   valuations to every value of one digit.
 """
 
-
-def powerset(team):
-    """Team set of all subsets of team: the product of (1 + 2**2**i)."""
-    out = 1
-    while team:
-        low = team & -team
-        out |= out << low
-        team ^= low
-    return out
+from .model import bits, powerset
 
 
 def _hi_mask(i, nbits):
@@ -80,12 +72,7 @@ class Downsets:
         """Maximal teams of a downward-closed team set, ascending."""
         out = self._maximal.get(family)
         if out is None:
-            rest = family & ~self._dropped(family)
-            out = []
-            while rest:
-                low = rest & -rest
-                out.append(low.bit_length() - 1)
-                rest ^= low
+            out = bits(family & ~self._dropped(family))
             self._maximal[family] = out
         return out
 

@@ -7,9 +7,10 @@ Digit-string notation writes a valuation as its digits in variable order,
 so "01" means v0=0, v1=1.
 """
 
+from itertools import compress
+
 from .errors import IfgError, ParseError
 from . import syntax
-from .downsets import powerset
 
 
 class Structure:
@@ -247,6 +248,33 @@ class Space:
         digits = self._digit_strings()
         return "{%s}" % ",".join(digits[i] for i in bits(team))
 
+    def render_teams(self, family):
+        """render_team of each team of a team set, in ascending team order.
+
+        One walk of the family: the text inside a team's braces is the digit
+        string of its lowest valuation, then "," and the text of
+        rest = team & (team - 1), the team without that valuation.  rest has
+        the smaller index, so in a downward-closed family it was rendered
+        earlier in the walk and is looked up in a dict local to the call;
+        other families join rest's digit strings.  The empty team is "{}".
+        """
+        digits = self._digit_strings()
+        inner = {0: ""}
+        out = []
+        for team in bits(family):
+            rest = team & (team - 1)
+            tail = inner.get(rest)
+            if tail is None:
+                tail = ",".join(digits[i] for i in bits(rest))
+            if team:
+                head = digits[(team ^ rest).bit_length() - 1]
+                text = head + "," + tail if rest else head
+            else:
+                text = ""
+            inner[team] = text
+            out.append("{" + text + "}")
+        return out
+
     def team_classes(self, team, jset):
         """Nonempty intersections of team with the ~J classes, in order."""
         masks, _ = self.classes(jset)
@@ -330,13 +358,35 @@ class Space:
         return powerset(team)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask):
-    """Indices of set bits, ascending."""
+    """Indices of set bits, ascending.
+
+    Up to 64 bits this strips the lowest set bit until none is left.  Each
+    step copies the mask, so on wider masks (team sets over 7 or more
+    valuations) that loop is quadratic in the width; there the bits are
+    read in one pass from the binary text, lowest first.
+    """
+    if mask.bit_length() > 64:
+        flags = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return list(compress(range(len(flags)), flags))
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def powerset(team):
+    """Team set of all subsets of team: the product of (1 + 2**2**i)."""
+    out = 1
+    while team:
+        low = team & -team
+        out |= out << low
+        team ^= low
     return out
 
 

@@ -10,8 +10,8 @@ teams.
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
-from .model import Space, eval_atomic, bits
-from .downsets import Downsets, powerset
+from .model import Space, eval_atomic, powerset
+from .downsets import Downsets
 
 MEANING_GUARD = 20
 
@@ -31,16 +31,11 @@ class Meaning:
     def __hash__(self):
         return hash((self.plus, self.minus))
 
-    def teams(self, which):
-        mask = self.plus if which == "plus" else self.minus
-        return [team for team in bits(mask)]
-
     def render(self):
-        lines = []
-        for which in ("plus", "minus"):
-            lines.append(which + ":")
-            for team in self.teams(which):
-                lines.append(self.space.render_team(team))
+        lines = ["plus:"]
+        lines += self.space.render_teams(self.plus)
+        lines.append("minus:")
+        lines += self.space.render_teams(self.minus)
         return "\n".join(lines)
 
     def check(self):

@@ -6,7 +6,7 @@ import pytest
 from ifg import syntax, trump, algebra
 from ifg.algebra import Element, AlgebraContext, leq, leq_plus, leq_minus
 from ifg.errors import IfgError, GuardExceeded
-from ifg.model import Structure
+from ifg.model import Structure, bits
 
 CTX = AlgebraContext(2, 2)
 EQ2 = Structure(2)
@@ -310,6 +310,18 @@ def test_render_and_dump():
     assert text == "plus=[{}] minus=[{}]"
     dump = ctx.dump([ctx.zero, ctx.one])
     assert dump.splitlines()[0] == "base=2 dim=1 count=2"
+    space = CTX.space
+    for x in default_pool(CTX) + [Element(0, 0b1010)]:
+        each = [",".join(space.render_team(t) for t in bits(mask))
+                for mask in x]
+        assert CTX.render(x) == "plus=[%s] minus=[%s]" % tuple(each)
+
+
+def test_element_is_a_pair():
+    x = Element(plus=3, minus=1)
+    assert (x.plus, x.minus) == (3, 1) and x == Element(3, 1)
+    assert repr(x) == "Element(plus=3, minus=1)"
+    assert len({x, Element(3, 1), Element(1, 3)}) == 2
 
 
 def test_context_guard():

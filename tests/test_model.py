@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ifg import syntax
+from ifg.downsets import Downsets
 from ifg.errors import IfgError, ParseError
 from ifg.model import Structure, Space, eval_term, eval_atomic, bits, popcount
 
@@ -348,7 +350,63 @@ def test_powerset_mask():
     assert SP.powerset_mask(0) == 1
 
 
-@given(st.integers(0, (1 << 12) - 1))
+@given(st.one_of(st.integers(0, (1 << 12) - 1), st.integers(0, 1 << 600)))
 def test_bits_and_popcount(mask):
-    assert bits(mask) == [i for i in range(12) if mask >> i & 1]
+    """Both sides of the 64-bit switch in bits."""
+    width = mask.bit_length()
+    assert bits(mask) == [i for i in range(width) if mask >> i & 1]
     assert popcount(mask) == bin(mask).count("1")
+
+
+@pytest.mark.parametrize("width", [64, 65, 1 << 16])
+def test_bits_at_fixed_widths(width):
+    full = (1 << width) - 1
+    top = 1 << (width - 1)
+    sampled = random.Random(width).getrandbits(width) | top
+    for mask in (full, top, full ^ 1, sampled):
+        assert bits(mask) == [i for i in range(width) if mask >> i & 1]
+
+
+# -- rendering team sets -------------------------------------------------------------
+
+
+def _render_each(space, family):
+    return [space.render_team(team) for team in bits(family)]
+
+
+def _sampled_families(space, rng, count):
+    """Downward-closed families (unions of powersets) and random ones."""
+    out = []
+    for _ in range(count):
+        family = 1
+        for _ in range(rng.randint(1, 4)):
+            family |= space.powerset_mask(rng.getrandbits(space.count))
+        out.append(family)
+        out.append(rng.getrandbits(1 << space.count))
+        out.append(family ^ 1 << rng.randrange(1 << space.count))
+    return out
+
+
+def test_render_teams_at_count_4():
+    downsets = Downsets(SP)
+    rng = random.Random(4)
+    closed = [f for f in range(1 << 16) if downsets.is_downset(f)]
+    assert len(closed) == 168  # the Dedekind number M(4)
+    other = [f for f in (rng.getrandbits(16) for _ in range(400))
+             if not downsets.is_downset(f)]
+    assert len(other) > 300
+    assert SP.render_teams(0) == []
+    assert SP.render_teams(1) == ["{}"]
+    assert SP.render_teams(0b1001) == ["{}", "{00,10}"]
+    for family in closed + other:
+        assert SP.render_teams(family) == _render_each(SP, family)
+
+
+@pytest.mark.parametrize("size,nvars", [(2, 3), (3, 2), (2, 4)])
+def test_render_teams_sampled(size, nvars):
+    space = Space(size, nvars)
+    rng = random.Random(space.count)
+    families = [0, 1, space.powerset_mask(space.full_team)]
+    families += _sampled_families(space, rng, 4 if space.count > 9 else 20)
+    for family in families:
+        assert space.render_teams(family) == _render_each(space, family)

@@ -209,6 +209,25 @@ def test_bulk_matches_games_at_count_16(tmp_path, capsys):
         assert m.minus == analyzer.winning_mask(formula.root, 0)
 
 
+def test_meaning_output_at_count_16(tmp_path, capsys):
+    """Every team of both parts, as the per-team rendering prints them."""
+    text = "E v0/{} (v0=v1 \\/{} v2=v3)"
+    path = tmp_path / "k2.ifgs"
+    path.write_text("universe 2\n")
+    assert cli.main(["meaning", "-s", str(path), "-f", text, "-n", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 65539
+    root = syntax.parse(text, 4).root
+    analyzer = games.GameAnalyzer(Structure(2), 4)
+    space = Space(2, 4)
+    want = []
+    for which, player in (("plus:", 1), ("minus:", 0)):
+        want.append(which)
+        want += [space.render_team(team)
+                 for team in bits(analyzer.winning_mask(root, player))]
+    assert lines == want
+
+
 # -- meanings and truth values ------------------------------------------------------
 
 
