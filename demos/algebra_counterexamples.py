@@ -7,7 +7,7 @@ failure of each, then runs the whole law registry to display which laws
 hold and which are expected to fail.
 """
 
-from ifg import syntax, algebra
+from ifg import syntax, algebra, trump
 from ifg.algebra import AlgebraContext
 from ifg.model import Structure
 
@@ -31,9 +31,9 @@ print("full team in X+:", bool(x.plus & full_bit))
 
 print()
 print("-- distributivity fails --")
-const2 = Structure(2, constants={"c0": 0, "c1": 1})
-xc = ctx.add(n_set, ctx.element_of(const2, syntax.parse("v0=c0", 2)),
-             ctx.element_of(const2, syntax.parse("v0=c1", 2)))
+const2 = trump.Evaluator(Structure(2, constants={"c0": 0, "c1": 1}), 2)
+xc = ctx.add(n_set, const2.element(syntax.parse("v0=c0", 2)),
+             const2.element(syntax.parse("v0=c1", 2)))
 k = frozenset({1})
 left = ctx.mul(k, xc, ctx.add(k, ctx.one, ctx.one))
 right = ctx.add(k, xc, xc)

@@ -4,9 +4,12 @@ An element is a pair (plus, minus) of team-set bitmasks over a valuation
 space.  The operations mirror the semantic clauses: negation swaps the two
 coordinates, slashed sum builds saturated covers, slashed product is the De
 Morgan dual, and cylindrification existentially projects one variable.
+They are the one implementation of the connectives on team sets: a
+formula's meaning (`trump.Evaluator.element`) is its fold into them.
 Where an operand's team set is downward closed (a suit), sum and
 cylindrification run the whole-mask kernels of `downsets`; other team sets
-go through loops over teams.
+go through loops over teams.  A context enumerates all 2**count teams, so
+it refuses spaces of more than MEANING_GUARD valuations.
 
 The law registry collects the equations and inequalities these algebras
 satisfy, each with its exact side conditions, plus a handful of classical
@@ -17,11 +20,12 @@ import itertools
 from typing import NamedTuple
 
 from .errors import IfgError, GuardExceeded
-from . import syntax, trump
-from .model import Space, bits
+from . import syntax
+from .model import Space, Structure, atom_mask, bits, eval_atomic
 from .downsets import Downsets
 
 GENERATION_CAP = 20000
+MEANING_GUARD = 20
 
 
 class Element(NamedTuple):
@@ -34,10 +38,10 @@ class AlgebraContext:
 
     def __init__(self, size, nvars):
         self.space = Space(size, nvars)
-        if self.space.count > trump.MEANING_GUARD:
+        if self.space.count > MEANING_GUARD:
             raise GuardExceeded("team enumeration needs %d valuations "
                                 "(limit %d)" % (self.space.count,
-                                                trump.MEANING_GUARD))
+                                                MEANING_GUARD))
         self.size = size
         self.nvars = nvars
         self.all_teamsets = (1 << (1 << self.space.count)) - 1
@@ -48,18 +52,18 @@ class AlgebraContext:
         self.full_j = frozenset(range(nvars))
         self.downsets = Downsets(self.space)
         self._touched = {}
+        self._diag = {}
         self._cyl = {}
         self._add = {}
 
     def diag(self, i, j):
         """The diagonal element: meaning of the atom vi = vj."""
-        space = self.space
-        mask = 0
-        for v in range(space.count):
-            val = space.decode(v)
-            if val[i] == val[j]:
-                mask |= 1 << v
-        return self.flat(mask)
+        hit = self._diag.get((i, j))
+        if hit is None:
+            atom = syntax.Eq(syntax.Var(i), syntax.Var(j))
+            hit = self.flat(atom_mask(Structure(self.size), self.space, atom))
+            self._diag[(i, j)] = hit
+        return hit
 
     def flat(self, team):
         """The element with plus the powerset of team, minus its complement."""
@@ -157,14 +161,6 @@ class AlgebraContext:
         for n in reversed(range(self.nvars)):
             x = self.cyl(n, jsets[n], x)
         return x
-
-    def from_meaning(self, m):
-        return Element(m.plus, m.minus)
-
-    def element_of(self, structure, formula):
-        """The meaning of a formula as an element of this context."""
-        return self.from_meaning(trump.Evaluator(structure,
-                                                 self.nvars).meaning(formula))
 
     def jsets(self):
         out = []
@@ -331,13 +327,8 @@ def _atom_seeds(structure, nvars):
     if not atoms:
         return None, []
     ctx = AlgebraContext(structure.size, nvars)
-    evaluator = trump.Evaluator(structure, nvars)
-    seeds = []
-    for atom in atoms:
-        node = syntax.atomic(atom)
-        seeds.append(Element(evaluator.winning_mask(node, True),
-                             evaluator.winning_mask(node, False)))
-    return ctx, seeds
+    return ctx, [ctx.flat(atom_mask(structure, ctx.space, atom))
+                 for atom in atoms]
 
 
 def cyls_of(structure, nvars, cap=GENERATION_CAP):
@@ -370,7 +361,6 @@ def omega_expected(structure, nvars):
         return False
     if nvars >= 2:
         return True
-    from .model import eval_atomic
     for atom in atomic_formulas(structure, 1):
         truths = {eval_atomic(structure, atom, (a,))
                   for a in range(structure.size)}

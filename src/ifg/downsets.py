@@ -44,6 +44,7 @@ class Downsets:
         self._slices = {}    # n -> (digit slice for each value b, repeat)
         # an algebra's closure meets each team set many times
         self._downset = {}   # team set -> is_downset
+        self._dropped = {}   # team set -> _drop(team set)
         self._maximal = {}   # team set -> maximal teams
         self._parts = {}     # (J, team set) -> class-wise powersets
 
@@ -53,18 +54,21 @@ class Downsets:
             self._hi = [_hi_mask(i, 1 << count) for i in range(count)]
         return self._hi
 
-    def _dropped(self, family):
+    def _drop(self, family):
         """Teams that become a team of family when one valuation is added."""
-        out = 0
-        for i, hi in enumerate(self._hi_masks()):
-            out |= (family & hi) >> (1 << i)
+        out = self._dropped.get(family)
+        if out is None:
+            out = 0
+            for i, hi in enumerate(self._hi_masks()):
+                out |= (family & hi) >> (1 << i)
+            self._dropped[family] = out
         return out
 
     def is_downset(self, family):
         """True when every subset of a team of family is in family."""
         known = self._downset.get(family)
         if known is None:
-            known = not self._dropped(family) & ~family
+            known = not self._drop(family) & ~family
             self._downset[family] = known
         return known
 
@@ -72,7 +76,7 @@ class Downsets:
         """Maximal teams of a downward-closed team set, ascending."""
         out = self._maximal.get(family)
         if out is None:
-            out = bits(family & ~self._dropped(family))
+            out = bits(family & ~self._drop(family))
             self._maximal[family] = out
         return out
 

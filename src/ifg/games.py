@@ -16,7 +16,7 @@ child entries, which yields a concrete witness strategy.
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
-from .model import Space, eval_atomic, bits
+from .model import Space, atom_mask, eval_atomic, bits
 
 SEARCH_GUARD = 1 << 24
 
@@ -57,19 +57,8 @@ class GameAnalyzer:
         self.structure = structure
         self.nvars = nvars
         self.space = Space(structure.size, nvars)
-        self._atom_masks = {}
         self._ant = {}
         self._compose = {}
-
-    def atom_mask(self, atom):
-        mask = self._atom_masks.get(atom)
-        if mask is None:
-            mask = 0
-            for i in range(self.space.count):
-                if eval_atomic(self.structure, atom, self.space.decode(i)):
-                    mask |= 1 << i
-            self._atom_masks[atom] = mask
-        return mask
 
     # -- antichains of maximal winning valuation sets -------------------------
 
@@ -85,7 +74,7 @@ class GameAnalyzer:
     def _antichain(self, node, myturn):
         space = self.space
         if isinstance(node, syntax.Atomic):
-            mask = self.atom_mask(node.atom)
+            mask = atom_mask(self.structure, space, node.atom)
             w = mask if myturn else space.full_team & ~mask
             return [(w, None)]
         elif isinstance(node, syntax.Not):
@@ -206,8 +195,9 @@ class GameAnalyzer:
 
     # -- winning strategies ----------------------------------------------------
 
-    def winning_mask(self, node, player):
+    def winning_mask(self, formula, player):
         """Bitmask over all teams V from which the player wins (count small)."""
+        node = syntax.checked_root(formula, self.nvars)
         mask = 1
         for w, _ in self.antichain(node, player == 1):
             mask |= self.space.powerset_mask(w)
@@ -215,7 +205,7 @@ class GameAnalyzer:
 
     def has_winning_strategy(self, formula, team, player):
         """(bool, witness Strategy or None) for the given player and team."""
-        node = formula.root if isinstance(formula, syntax.Formula) else formula
+        node = syntax.checked_root(formula, self.nvars)
         if team == 0:
             return True, Strategy(player)
         ant = self.antichain(node, player == 1)
@@ -264,7 +254,7 @@ class GameAnalyzer:
         strategies maps player number to Strategy; a player without an entry
         must never be asked to move.
         """
-        node = formula.root if isinstance(formula, syntax.Formula) else formula
+        node = syntax.checked_root(formula, self.nvars)
         space = self.space
         pos, val, eps = (), start, 1
         play = [(pos, val, eps)]
@@ -297,7 +287,7 @@ class GameAnalyzer:
 
     def verify_strategy(self, formula, team, strategy):
         """True iff the strategy wins every play from every start in team."""
-        node = formula.root if isinstance(formula, syntax.Formula) else formula
+        node = syntax.checked_root(formula, self.nvars)
         space = self.space
         owner = strategy.owner
 
@@ -332,7 +322,7 @@ class GameAnalyzer:
 
     def reachable_positions(self, formula, team):
         """All positions occurring in some play of the game from team."""
-        node = formula.root if isinstance(formula, syntax.Formula) else formula
+        node = syntax.checked_root(formula, self.nvars)
         space = self.space
         seen = set()
 

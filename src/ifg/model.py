@@ -140,6 +140,15 @@ def eval_atomic(structure, atom, valuation):
         raise IfgError("not an atom: %r" % (atom,))
 
 
+def atom_mask(structure, space, atom):
+    """The team of the valuations of space under which atom holds."""
+    mask = 0
+    for i in range(space.count):
+        if eval_atomic(structure, atom, space.decode(i)):
+            mask |= 1 << i
+    return mask
+
+
 class Space:
     """The set of valuations over N variables with universe size K."""
 

@@ -178,10 +178,8 @@ def check_omega_mho_fixed():
 
 def _const3_xyz():
     ctx = algebra.AlgebraContext(3, 1)
-    st = _const3()
-    x = ctx.element_of(st, syntax.parse("v0=c0", 1))
-    y = ctx.element_of(st, syntax.parse("v0=c1", 1))
-    z = ctx.element_of(st, syntax.parse("v0=c2", 1))
+    ev = trump.Evaluator(_const3(), 1)
+    x, y, z = (ev.element(syntax.parse("v0=c%d" % i, 1)) for i in range(3))
     return ctx, x, y, z
 
 
@@ -284,9 +282,9 @@ def check_omega_in_two_element_base():
 
 def check_nonfalsity_witness():
     ctx = algebra.AlgebraContext(2, 2)
-    st = _const2()
-    x = ctx.add(ctx.full_j, ctx.element_of(st, syntax.parse("v0=c0", 2)),
-                ctx.element_of(st, syntax.parse("v0=c1", 2)))
+    ev = trump.Evaluator(_const2(), 2)
+    x = ctx.add(ctx.full_j, ev.element(syntax.parse("v0=c0", 2)),
+                ev.element(syntax.parse("v0=c1", 2)))
     d = ctx.diag(0, 1)
     empty = frozenset()
     e = ctx.mul(empty, ctx.cyl(0, empty, ctx.mul(empty, d, x)),

@@ -306,6 +306,23 @@ class Formula:
         return not self.root.freevars
 
 
+def checked_root(formula, nvars):
+    """The root of a Formula or bare node, checked against nvars variables.
+
+    A Formula must have exactly nvars variables; a bare node may use no
+    index at or above nvars.
+    """
+    if isinstance(formula, Formula):
+        if formula.nvars != nvars:
+            raise IfgError("formula has %d variables, expected %d"
+                           % (formula.nvars, nvars))
+        return formula.root
+    if formula.maxindex >= nvars:
+        raise IfgError("index %d out of range for %d variables"
+                       % (formula.maxindex, nvars))
+    return formula
+
+
 # ---------------------------------------------------------------------------
 # Parser
 

@@ -2,18 +2,17 @@
 
 A team V satisfies a formula positively when the verifier can win from every
 valuation in V using one uniform strategy, and negatively when the falsifier
-can.  The evaluator implements the five clause pairs directly, as the
-definitional oracle, plus a bulk winning-teams computation that runs the
-whole-mask kernels of `downsets` on the downward-closed sets of winning
-teams.
+can.  The evaluator implements the five clause pairs directly, team by team,
+as the definitional oracle.  A formula's meaning, its pair of winning- and
+losing-team sets, is the fold of the formula into `AlgebraContext`: an atom
+denotes a flat element, and ~, \\/_J and E v_n/J denote neg, add and cyl,
+the meaning homomorphism of the cylindric set algebra.
 """
 
-from .errors import IfgError, GuardExceeded
+from .errors import IfgError
 from . import syntax
-from .model import Space, eval_atomic, powerset
-from .downsets import Downsets
-
-MEANING_GUARD = 20
+from .algebra import MEANING_GUARD, AlgebraContext
+from .model import Space, atom_mask
 
 
 class Meaning:
@@ -51,111 +50,89 @@ class Evaluator:
         self.structure = structure
         self.nvars = nvars
         self.space = Space(structure.size, nvars)
-        self._atom_masks = {}
-        self._memo = {}
-        self._bulk = {}
-        self.downsets = Downsets(self.space)
-
-    def atom_mask(self, atom):
-        mask = self._atom_masks.get(atom)
-        if mask is None:
-            mask = 0
-            for i in range(self.space.count):
-                if eval_atomic(self.structure, atom, self.space.decode(i)):
-                    mask |= 1 << i
-            self._atom_masks[atom] = mask
-        return mask
+        self._ctx = None         # AlgebraContext, built by the first fold
+        self._atom_masks = {}    # atom -> team, for the per-team recursion
+        self._memo = {}          # (node uid, team, sign) -> satisfied
+        self._elements = {}      # node uid -> Element
 
     # -- per-team satisfaction (definitional recursion) ----------------------
 
-    def satisfies(self, node, team, positive):
-        if isinstance(node, syntax.Formula):
-            if node.nvars != self.nvars:
-                raise IfgError("formula has %d variables, evaluator has %d"
-                               % (node.nvars, self.nvars))
-            node = node.root
+    def satisfies(self, formula, team, positive):
+        return self._satisfies(syntax.checked_root(formula, self.nvars),
+                               team, positive)
+
+    def _satisfies(self, node, team, positive):
         key = (node.uid, team, positive)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        result = self._satisfies(node, team, positive)
+        space = self.space
+        if isinstance(node, syntax.Atomic):
+            mask = self._atom_masks.get(node.atom)
+            if mask is None:
+                mask = atom_mask(self.structure, space, node.atom)
+                self._atom_masks[node.atom] = mask
+            result = team & (~mask if positive else mask) == 0
+        elif isinstance(node, syntax.Not):
+            result = self._satisfies(node.child, team, not positive)
+        elif isinstance(node, syntax.Or):
+            if positive:
+                splits = space.saturated_splits(team, node.jset)
+                result = any(self._satisfies(node.left, v1, True)
+                             and self._satisfies(node.right, v2, True)
+                             for v1, v2 in splits)
+            else:
+                result = (self._satisfies(node.left, team, False)
+                          and self._satisfies(node.right, team, False))
+        elif isinstance(node, syntax.Exists):
+            if positive:
+                functions = space.independent_functions(team, node.jset)
+                result = any(self._satisfies(
+                    node.child, space.variant_team_fn(node.n, *fn), True)
+                    for fn in functions)
+            else:
+                result = self._satisfies(
+                    node.child, space.variant_team_all(team, node.n), False)
+        else:
+            raise IfgError("not a formula node: %r" % (node,))
         self._memo[key] = result
         return result
 
-    def _satisfies(self, node, team, positive):
-        space = self.space
-        if isinstance(node, syntax.Atomic):
-            mask = self.atom_mask(node.atom)
-            if positive:
-                return team & ~mask == 0
-            return team & mask == 0
-        elif isinstance(node, syntax.Not):
-            return self.satisfies(node.child, team, not positive)
-        elif isinstance(node, syntax.Or):
-            if positive:
-                for v1, v2 in space.saturated_splits(team, node.jset):
-                    if (self.satisfies(node.left, v1, True)
-                            and self.satisfies(node.right, v2, True)):
-                        return True
-                return False
-            return (self.satisfies(node.left, team, False)
-                    and self.satisfies(node.right, team, False))
-        elif isinstance(node, syntax.Exists):
-            if positive:
-                for blocks, values in space.independent_functions(team, node.jset):
-                    variant = space.variant_team_fn(node.n, blocks, values)
-                    if self.satisfies(node.child, variant, True):
-                        return True
-                return False
-            return self.satisfies(node.child,
-                                  space.variant_team_all(team, node.n), False)
-        else:
-            raise IfgError("not a formula node: %r" % (node,))
+    # -- meanings: the fold into the algebra ---------------------------------
 
-    # -- bulk winning-team computation ---------------------------------------
+    def element(self, formula):
+        """The meaning of a formula as an element of the set algebra."""
+        node = syntax.checked_root(formula, self.nvars)
+        if self._ctx is None:
+            self._ctx = AlgebraContext(self.structure.size, self.nvars)
+        return self._element(node)
 
-    def winning_mask(self, node, positive):
-        """Bitmask over all teams: bit V set iff the team satisfies node."""
-        if isinstance(node, syntax.Formula):
-            node = node.root
-        key = (node.uid, positive)
-        hit = self._bulk.get(key)
+    def _element(self, node):
+        hit = self._elements.get(node.uid)
         if hit is not None:
             return hit
-        space = self.space
-        if space.count > MEANING_GUARD:
-            raise GuardExceeded("team enumeration needs %d valuations "
-                                "(limit %d)" % (space.count, MEANING_GUARD))
+        ctx = self._ctx
         if isinstance(node, syntax.Atomic):
-            amask = self.atom_mask(node.atom)
-            if positive:
-                mask = powerset(amask)
-            else:
-                mask = powerset(space.full_team & ~amask)
+            result = ctx.flat(atom_mask(self.structure, ctx.space, node.atom))
         elif isinstance(node, syntax.Not):
-            mask = self.winning_mask(node.child, not positive)
+            result = ctx.neg(self._element(node.child))
         elif isinstance(node, syntax.Or):
-            wl = self.winning_mask(node.left, positive)
-            wr = self.winning_mask(node.right, positive)
-            if positive:
-                mask = self.downsets.or_plus(node.jset, wl, wr)
-            else:
-                mask = wl & wr
+            result = ctx.add(node.jset, self._element(node.left),
+                             self._element(node.right))
         elif isinstance(node, syntax.Exists):
-            wc = self.winning_mask(node.child, positive)
-            if positive:
-                mask = self.downsets.exists_plus(node.n, node.jset, wc)
-            else:
-                mask = self.downsets.exists_minus(node.n, wc)
+            result = ctx.cyl(node.n, node.jset, self._element(node.child))
         else:
             raise IfgError("not a formula node: %r" % (node,))
-        self._bulk[key] = mask
-        return mask
+        self._elements[node.uid] = result
+        return result
 
-    # -- meanings and truth values -------------------------------------------
+    def winning_mask(self, formula, positive):
+        """Bitmask over all teams: bit V set iff the team satisfies formula."""
+        x = self.element(formula)
+        return x.plus if positive else x.minus
 
     def meaning(self, formula):
-        node = formula.root if isinstance(formula, syntax.Formula) else formula
+        node = syntax.checked_root(formula, self.nvars)
         result = Meaning(self.space, self.winning_mask(node, True),
                          self.winning_mask(node, False))
         if not result.check():
@@ -167,16 +144,17 @@ class Evaluator:
         """true, false or undetermined: which sign the full team satisfies.
 
         Up to MEANING_GUARD valuations this reads the full-team bit of the
-        winning masks; above it, only the per-team recursion fits.
+        meaning; above it, only the per-team recursion fits.
         """
+        node = syntax.checked_root(formula, self.nvars)
         if not formula.is_sentence():
             raise IfgError("formula is not a sentence: %s" % formula)
         full = self.space.full_team
         for positive, verdict in ((True, "true"), (False, "false")):
             if self.space.count <= MEANING_GUARD:
-                holds = self.winning_mask(formula.root, positive) >> full & 1
+                holds = self.winning_mask(node, positive) >> full & 1
             else:
-                holds = self.satisfies(formula.root, full, positive)
+                holds = self.satisfies(node, full, positive)
             if holds:
                 return verdict
         return "undetermined"

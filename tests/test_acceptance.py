@@ -107,7 +107,8 @@ def test_acceptance_2_worked_computations():
 
     ctx3 = AlgebraContext(3, 1)
     st3 = Structure(3, constants={"c0": 0, "c1": 1, "c2": 2})
-    x3, y3, z3 = (ctx3.element_of(st3, syntax.parse("v0=c%d" % i, 1))
+    ev3 = trump.Evaluator(st3, 1)
+    x3, y3, z3 = (ev3.element(syntax.parse("v0=c%d" % i, 1))
                   for i in range(3))
     lhs = ctx3.add(empty, x3, y3)
     check("associativity lhs", lhs.plus == _teamset(ctx3, "", "0", "1", "0,1"))
@@ -125,8 +126,9 @@ def test_acceptance_2_worked_computations():
     check("absorption grows", grown.plus >> full & 1
           and not x.plus >> full & 1)
 
-    xc = ctx.add(n_set, ctx.element_of(CONST2, syntax.parse("v0=c0", 2)),
-                 ctx.element_of(CONST2, syntax.parse("v0=c1", 2)))
+    ev = trump.Evaluator(CONST2, 2)
+    xc = ctx.add(n_set, ev.element(syntax.parse("v0=c0", 2)),
+                 ev.element(syntax.parse("v0=c1", 2)))
     check("distributivity x plus", xc.plus == (
         sp.powerset_mask(sp.parse_team("00,01"))
         | sp.powerset_mask(sp.parse_team("10,11"))))

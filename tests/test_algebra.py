@@ -78,32 +78,42 @@ def test_flat_builds_powersets():
 # -- semantics bridge -------------------------------------------------------------
 
 
+HOMOMORPHISM_CASES = [
+    # (variables, atoms): counts 2, 4 and 8 over CONST2
+    (1, ["v0=c0", "v0=c1", "v0=v0"]),
+    (2, ["v0=v1", "v0=c0", "v1=c1"]),
+    (3, ["v0=v1", "v1=v2", "v2=c0"]),
+]
+
+
 def test_meaning_homomorphism_depth_two():
-    # meanings compose through the algebra operations connective by connective
-    for nvars in (1, 2):
+    # neg, add and cyl on atom meanings agree with team satisfaction of the
+    # connective they interpret, team by team
+    for nvars, texts in HOMOMORPHISM_CASES:
         ctx = AlgebraContext(2, nvars)
-        ev = trump.Evaluator(EQ2, nvars)
-
-        def elem(node):
-            return Element(ev.winning_mask(node, True),
-                           ev.winning_mask(node, False))
-
-        atoms = [syntax.atomic(syntax.Eq(syntax.Var(i), syntax.Var(j)))
-                 for i in range(nvars) for j in range(nvars)]
-        for a in atoms:
-            assert elem(syntax.negate(a)) == ctx.neg(elem(a))
+        ev = trump.Evaluator(CONST2, nvars)
+        atoms = [syntax.parse(t, nvars).root for t in texts]
+        elems = [ev.element(a) for a in atoms]
+        cases = []
+        for a, x in zip(atoms, elems):
+            cases.append((syntax.negate(a), ctx.neg(x)))
             for j in ctx.jsets():
-                for b in atoms:
-                    assert (elem(syntax.disj(j, a, b))
-                            == ctx.add(j, elem(a), elem(b)))
+                for b, y in zip(atoms, elems):
+                    cases.append((syntax.disj(j, a, b), ctx.add(j, x, y)))
                 for n in range(nvars):
-                    assert (elem(syntax.exists(n, j, a))
-                            == ctx.cyl(n, j, elem(a)))
+                    cases.append((syntax.exists(n, j, a), ctx.cyl(n, j, x)))
+        for node, got in cases:
+            for team in range(1 << ctx.space.count):
+                assert got.plus >> team & 1 == ev.satisfies(node, team, True)
+                assert got.minus >> team & 1 == ev.satisfies(node, team,
+                                                             False)
 
 
 def test_element_of_matches_meaning():
     f = syntax.parse("v0=v1", 2)
-    assert CTX.element_of(EQ2, f) == CTX.diag(0, 1)
+    ev = trump.Evaluator(EQ2, 2)
+    m = ev.meaning(f)
+    assert ev.element(f) == Element(m.plus, m.minus) == CTX.diag(0, 1)
 
 
 # -- classification -----------------------------------------------------------------

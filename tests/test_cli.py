@@ -138,6 +138,18 @@ def test_bad_formula_exits_one(eq2, capsys):
     assert code == 1 and "error:" in out.err
 
 
+def test_team_commands_above_meaning_guard(tmp_path, capsys):
+    """Count 27: truth and eval answer team by team, without the algebra."""
+    path = tmp_path / "k3.ifgs"
+    path.write_text("universe 3\n")
+    argv = ["-s", str(path), "-f", "A v0/{} A v1/{} A v2/{} (v0=v0)",
+            "-n", "3"]
+    code, out = run(capsys, ["truth"] + argv)
+    assert code == 0 and out.out == "true\n"
+    code, out = run(capsys, ["eval"] + argv + ["--team", "000,111,222"])
+    assert code == 0 and out.out == "+ yes\n- no\n"
+
+
 def test_guard_exits_two(tmp_path, capsys):
     path = tmp_path / "big.ifgs"
     path.write_text("universe 5\n")

@@ -200,3 +200,18 @@ def test_unreachable_positions_example():
     for digits in ("10", "11"):
         index = ga.space.encode(tuple(int(c) for c in digits))
         assert ((3,), index, 1) not in reached
+
+
+def test_every_entry_checks_the_variable_count():
+    ga = games.GameAnalyzer(EQ2, 1)
+    wide = syntax.parse("E v1/{} (v1=v1)", 2)
+    entries = [lambda f: ga.has_winning_strategy(f, 1, 1),
+               lambda f: ga.winning_mask(f, 1),
+               lambda f: ga.play_out(f, {}, 0),
+               lambda f: ga.verify_strategy(f, 1, games.Strategy(1)),
+               lambda f: ga.reachable_positions(f, 1)]
+    for entry in entries:
+        with pytest.raises(IfgError, match="formula has 2 variables"):
+            entry(wide)
+        with pytest.raises(IfgError, match="index 1 out of range"):
+            entry(wide.root)

@@ -1,0 +1,27 @@
+"""The module layering model -> downsets -> algebra -> trump.
+
+Each module is imported in a fresh interpreter, which must not load any
+module above it in that order.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ORDER = ["ifg.model", "ifg.downsets", "ifg.algebra", "ifg.trump"]
+
+
+def loaded_by(module):
+    code = ("import sys; sys.path.insert(0, %r); import %s; "
+            "print(' '.join(sys.modules))" % (str(SRC), module))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_no_module_imports_one_above_it():
+    for i, module in enumerate(ORDER):
+        loaded = loaded_by(module)
+        assert module in loaded
+        assert not loaded & set(ORDER[i + 1:]), module

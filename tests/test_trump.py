@@ -280,3 +280,19 @@ def test_dimension_mismatch():
     ev = trump.Evaluator(EQ2, 2)
     with pytest.raises(IfgError):
         ev.satisfies(syntax.parse("v0=v0", 1), 0, True)
+    # every public entry checks, the wider formula or node included
+    ev = trump.Evaluator(EQ2, 1)
+    wide = syntax.parse("E v1/{} (v1=v1)", 2)
+    entries = [lambda f: ev.satisfies(f, 1, True),
+               lambda f: ev.winning_mask(f, True),
+               ev.element, ev.meaning, ev.truth_value]
+    for entry in entries:
+        with pytest.raises(IfgError, match="formula has 2 variables"):
+            entry(wide)
+        with pytest.raises(IfgError, match="index 1 out of range"):
+            entry(wide.root)
+    # a bare node needs only its indices to fit
+    narrow = syntax.parse("E v0/{} (v0=v0)", 1).root
+    two = trump.Evaluator(EQ2, 2)
+    assert two.satisfies(narrow, two.space.full_team, True)
+    assert two.winning_mask(narrow, True) == two.element(narrow).plus
