@@ -102,7 +102,7 @@ def cmd_eval(args):
 
 def cmd_truth(args):
     structure, formula = _load(args)
-    print(trump.truth_value(structure, formula))
+    print(games.GameAnalyzer(structure, args.nvars).truth_value(formula))
     return 0
 
 

@@ -13,8 +13,10 @@ one at a time.  Two facts carry them:
 - For team sets A and B whose teams use disjoint sets of valuations,
   {a | b : a in A, b in B} is the plain integer product A * B: every a + b
   equals a | b and determines a and b, so no two terms carry into the
-  same bit.  The same makes (team & digit slice) * repeat copy a slice of
-  valuations to every value of one digit.
+  same bit.
+
+The quantifier kernels read a maximal team's variations through
+`Space.preimages`, the whole-mask primitive the game search uses too.
 """
 
 from .model import bits, powerset
@@ -41,7 +43,6 @@ class Downsets:
     def __init__(self, space):
         self.space = space
         self._hi = None      # HI[i] for each valuation i, built on first use
-        self._slices = {}    # n -> (digit slice for each value b, repeat)
         # an algebra's closure meets each team set many times
         self._downset = {}   # team set -> is_downset
         self._dropped = {}   # team set -> _drop(team set)
@@ -91,29 +92,6 @@ class Downsets:
             self._parts[key] = out
         return out
 
-    # -- variations of one variable --------------------------------------------
-
-    def _digit_slices(self, n):
-        """(masks of valuations with digit n == b for each b, repeat)."""
-        cached = self._slices.get(n)
-        if cached is None:
-            space = self.space
-            stride = space.size ** n
-            masks = [0] * space.size
-            for i in range(space.count):
-                masks[i // stride % space.size] |= 1 << i
-            repeat = sum(1 << (b * stride) for b in range(space.size))
-            cached = (masks, repeat)
-            self._slices[n] = cached
-        return cached
-
-    def _preimages(self, team, n):
-        """For each value b, the valuations whose n-variant to b is in team."""
-        masks, repeat = self._digit_slices(n)
-        stride = self.space.size ** n
-        return [((team & mask) >> (b * stride)) * repeat
-                for b, mask in enumerate(masks)]
-
     # -- the operators -----------------------------------------------------------
 
     def or_plus(self, jset, left, right):
@@ -138,7 +116,7 @@ class Downsets:
         classes, _ = self.space.classes(jset)
         out = 0
         for w in self.maximal(child):
-            pres = set(self._preimages(w, n))
+            pres = set(self.space.preimages(w, n))
             product = 1
             for c in classes:
                 part = 0
@@ -153,7 +131,7 @@ class Downsets:
         out = 0
         for w in self.maximal(child):
             common = self.space.full_team
-            for pre in self._preimages(w, n):
+            for pre in self.space.preimages(w, n):
                 common &= pre
             out |= powerset(common)
         return out

@@ -11,8 +11,18 @@ verifier here"), the antichain of maximal sets W of valuations such that one
 fixed uniform strategy on that subtree wins from every start in W.  A team V
 then has a winning strategy iff V is empty or V is contained in some W of
 the root antichain.  Each antichain entry records how it was composed from
-child entries, which yields a concrete witness strategy.
+child entries, which yields a concrete witness strategy.  A sentence is
+true (false) when the root antichain of player 1 (0) holds the full team;
+`truth_value` answers so at every valuation count, within SEARCH_GUARD.
+
+The E clauses read a child entry's variations through `Space.preimages`,
+the whole-mask primitive the `downsets` kernels use too.  The module
+imports neither those kernels nor `algebra` or `trump`, so the tests that
+compare the search with the fold compare two independent computations.
 """
+
+from itertools import product
+from math import prod
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
@@ -109,91 +119,68 @@ class GameAnalyzer:
 
     def _or_verifier(self, jset, wl, wr):
         masks, _ = self.space.classes(jset)
-        candidates = {}
+        groups = []
         for li, l in enumerate(wl):
             for ri, r in enumerate(wr):
-                base = 0
-                choices = ["L"] * len(masks)
-                branch = []
-                for cid, cls in enumerate(masks):
+                per_class = []
+                for cls in masks:
                     a, b = cls & l, cls & r
                     if b & ~a == 0:
-                        base |= a
+                        per_class.append(((a, "L"),))
                     elif a & ~b == 0:
-                        base |= b
-                        choices[cid] = "R"
+                        per_class.append(((b, "R"),))
                     else:
-                        branch.append((cid, a, b))
-                if (len(wl) * len(wr)) << len(branch) > SEARCH_GUARD:
-                    raise GuardExceeded("strategy search space too large")
-                for pick in range(1 << len(branch)):
-                    w = base
-                    ch = list(choices)
-                    for i, (cid, a, b) in enumerate(branch):
-                        if pick >> i & 1:
-                            w |= b
-                            ch[cid] = "R"
-                        else:
-                            w |= a
-                    candidates.setdefault(w, (li, ri, tuple(ch)))
-        return _maximal(candidates)
+                        per_class.append(((a, "L"), (b, "R")))
+                groups.append([(w, (li, ri, moves)) for w, moves in
+                               _uniform_picks(per_class, len(wl) * len(wr))])
+        return _maximal(groups)
 
     def _or_opponent(self, wl, wr):
-        candidates = {}
-        for li, l in enumerate(wl):
-            for ri, r in enumerate(wr):
-                candidates.setdefault(l & r, (li, ri))
-        return _maximal(candidates)
+        return _maximal([[(l & r, (li, ri))] for li, l in enumerate(wl)
+                         for ri, r in enumerate(wr)])
 
     def _exists_verifier(self, n, jset, wc):
-        space = self.space
-        masks, _ = space.classes(jset)
-        candidates = {}
+        masks, _ = self.space.classes(jset)
+        groups = []
         for ci, target in enumerate(wc):
+            pres = self.space.preimages(target, n)
             per_class = []
             for cls in masks:
                 options = {}
-                for b in range(space.size):
-                    part = 0
-                    for v in bits(cls):
-                        if target >> space.variant_index(v, n, b) & 1:
-                            part |= 1 << v
-                    options.setdefault(part, b)
-                kept = []
-                for part in sorted(options, key=lambda p: (-p.bit_count(), p)):
-                    if not any(part & ~q == 0 for q, _ in kept):
-                        kept.append((part, options[part]))
-                per_class.append(kept)
-            total = 1
-            for kept in per_class:
-                total *= len(kept)
-            if len(wc) * total > SEARCH_GUARD:
-                raise GuardExceeded("strategy search space too large")
-            for combo in _product_indices([len(k) for k in per_class]):
-                w = 0
-                values = []
-                for cid, pick in enumerate(combo):
-                    part, b = per_class[cid][pick]
-                    w |= part
-                    values.append(b)
-                candidates.setdefault(w, (ci, tuple(values)))
-        return _maximal(candidates)
+                for b, pre in enumerate(pres):
+                    options.setdefault(pre & cls, b)
+                # options of one class may contain each other: reduce
+                per_class.append(_maximal([[o] for o in options.items()]))
+            groups.append([(w, (ci, values)) for w, values in
+                           _uniform_picks(per_class, len(wc))])
+        return _maximal(groups)
 
     def _exists_opponent(self, n, wc):
-        space = self.space
-        candidates = {}
+        groups = []
         for ci, target in enumerate(wc):
-            w = space.full_team
-            for b in range(space.size):
-                keep = 0
-                for v in bits(w):
-                    if target >> space.variant_index(v, n, b) & 1:
-                        keep |= 1 << v
-                w = keep
-            candidates.setdefault(w, (ci,))
-        return _maximal(candidates)
+            w = self.space.full_team
+            for pre in self.space.preimages(target, n):
+                w &= pre
+            groups.append([(w, (ci,))])
+        return _maximal(groups)
 
     # -- winning strategies ----------------------------------------------------
+
+    def truth_value(self, formula):
+        """true, false or undetermined: which player wins from the full team.
+
+        A sentence is true (false) when the root antichain of player 1 (0)
+        holds the full team.
+        """
+        node = syntax.checked_root(formula, self.nvars)
+        if node.freevars:
+            raise IfgError("formula is not a sentence: %s"
+                           % syntax.render(node))
+        full = self.space.full_team
+        for myturn, verdict in ((True, "true"), (False, "false")):
+            if any(w == full for w, _ in self.antichain(node, myturn)):
+                return verdict
+        return "undetermined"
 
     def winning_mask(self, formula, player):
         """Bitmask over all teams V from which the player wins (count small)."""
@@ -345,32 +332,40 @@ class GameAnalyzer:
         return seen
 
 
-def _maximal(candidates):
-    """Antichain of maximal keys, each with its first recorded provenance."""
+def _maximal(groups):
+    """Antichain of the maximal keys of groups of (key, provenance) pairs.
+
+    A key keeps the provenance of its first occurrence.  Each group must be
+    an antichain itself.  The uniform picks of one target, or of one pair
+    of child entries, are one: two picks differ in the part of some ~J
+    class, the classes are disjoint, and the options of each class form an
+    antichain.  So a single group is only sorted, and the subset tests run
+    only across groups.
+    """
+    candidates = {}
+    for group in groups:
+        for w, prov in group:
+            candidates.setdefault(w, prov)
     out = []
     for w in sorted(candidates, key=lambda x: (-x.bit_count(), x)):
-        if not any(w & ~kept == 0 for kept, _ in out):
+        if len(groups) == 1 or not any(w & ~kept == 0 for kept, _ in out):
             out.append((w, candidates[w]))
     return out
 
 
-def _product_indices(sizes):
-    """Cartesian product of range(s) for s in sizes, as index tuples."""
-    if not sizes:
-        yield ()
-        return
-    combo = [0] * len(sizes)
-    while True:
-        yield tuple(combo)
-        i = 0
-        while i < len(sizes):
-            combo[i] += 1
-            if combo[i] < sizes[i]:
-                break
-            combo[i] = 0
-            i += 1
-        if i == len(sizes):
-            return
+def _uniform_picks(per_class, ngroups):
+    """(team, moves) for each pick of one (part, move) option per ~J class.
+
+    The search space is ngroups times the number of picks; SEARCH_GUARD
+    bounds it.
+    """
+    if ngroups * prod(map(len, per_class)) > SEARCH_GUARD:
+        raise GuardExceeded("strategy search space too large")
+    parts = [[part for part, _ in options] for options in per_class]
+    moves = [[move for _, move in options] for options in per_class]
+    # the classes are disjoint, so the sum of the parts is their union
+    for picked, chosen in zip(product(*parts), product(*moves)):
+        yield sum(picked), chosen
 
 
 def dualize(strategy):

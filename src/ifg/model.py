@@ -161,6 +161,7 @@ class Space:
         self.full_team = (1 << self.count) - 1
         self._classes = {}
         self._variant = {}
+        self._slices = {}    # n -> (digit slice for each value b, repeat)
         self._digits = None
 
     # -- valuations ---------------------------------------------------------
@@ -342,6 +343,32 @@ class Space:
             table = [self.variant_index(i, n, b) for i in range(self.count)]
             self._variant[key] = table
         return table
+
+    def _digit_slices(self, n):
+        """(masks of valuations with digit n == b for each b, repeat)."""
+        cached = self._slices.get(n)
+        if cached is None:
+            stride = self.size ** n
+            masks = [0] * self.size
+            for i in range(self.count):
+                masks[i // stride % self.size] |= 1 << i
+            repeat = sum(1 << (b * stride) for b in range(self.size))
+            cached = (masks, repeat)
+            self._slices[n] = cached
+        return cached
+
+    def preimages(self, team, n):
+        """For each value b, the valuations whose n-variant to b is in team.
+
+        Whole-mask form of variant_index: the slice of team with digit n
+        equal to b, shifted down to digit value 0 and copied to every value
+        of that digit by one integer product (the copies use disjoint
+        valuations, so nothing carries).
+        """
+        masks, repeat = self._digit_slices(n)
+        stride = self.size ** n
+        return [((team & mask) >> (b * stride)) * repeat
+                for b, mask in enumerate(masks)]
 
     def variant_team(self, team, n, b):
         table = self._variant_map(n, b)

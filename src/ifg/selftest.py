@@ -106,7 +106,7 @@ def check_matching_pennies_undetermined():
     full = ev.space.full_team
     return (not ev.satisfies(f, full, True)
             and not ev.satisfies(f, full, False)
-            and ev.truth_value(f) == "undetermined")
+            and games.GameAnalyzer(_eq2(), 2).truth_value(f) == "undetermined")
 
 
 def check_diagonal_meaning():

@@ -3,15 +3,17 @@
 A team V satisfies a formula positively when the verifier can win from every
 valuation in V using one uniform strategy, and negatively when the falsifier
 can.  The evaluator implements the five clause pairs directly, team by team,
-as the definitional oracle.  A formula's meaning, its pair of winning- and
-losing-team sets, is the fold of the formula into `AlgebraContext`: an atom
-denotes a flat element, and ~, \\/_J and E v_n/J denote neg, add and cyl,
-the meaning homomorphism of the cylindric set algebra.
+as the definitional oracle; `ifg eval` uses it because it looks only at the
+team it is given.  A formula's meaning, its pair of winning- and losing-team
+sets, is the fold of the formula into `AlgebraContext`: an atom denotes a
+flat element, and ~, \\/_J and E v_n/J denote neg, add and cyl, the meaning
+homomorphism of the cylindric set algebra.  The truth of a sentence is
+answered by the game search (`games.GameAnalyzer.truth_value`).
 """
 
 from .errors import IfgError
 from . import syntax
-from .algebra import MEANING_GUARD, AlgebraContext
+from .algebra import AlgebraContext
 from .model import Space, atom_mask
 
 
@@ -140,25 +142,6 @@ class Evaluator:
                            "disjointness invariants" % syntax.render(node))
         return result
 
-    def truth_value(self, formula):
-        """true, false or undetermined: which sign the full team satisfies.
-
-        Up to MEANING_GUARD valuations this reads the full-team bit of the
-        meaning; above it, only the per-team recursion fits.
-        """
-        node = syntax.checked_root(formula, self.nvars)
-        if not formula.is_sentence():
-            raise IfgError("formula is not a sentence: %s" % formula)
-        full = self.space.full_team
-        for positive, verdict in ((True, "true"), (False, "false")):
-            if self.space.count <= MEANING_GUARD:
-                holds = self.winning_mask(node, positive) >> full & 1
-            else:
-                holds = self.satisfies(node, full, positive)
-            if holds:
-                return verdict
-        return "undetermined"
-
 
 def satisfies(structure, formula, team, positive):
     """One-shot satisfaction check."""
@@ -169,7 +152,3 @@ def meaning(structure, formula):
     """One-shot meaning computation."""
     return Evaluator(structure, formula.nvars).meaning(formula)
 
-
-def truth_value(structure, formula):
-    """One-shot three-valued truth of a sentence."""
-    return Evaluator(structure, formula.nvars).truth_value(formula)

@@ -1,7 +1,8 @@
 import pytest
 
-from ifg import cli, finlat
+from ifg import cli, finlat, games, syntax
 from ifg.finlat import named_algebra
+from ifg.model import Structure
 
 EQ2_TEXT = "universe 2\n"
 
@@ -138,12 +139,17 @@ def test_bad_formula_exits_one(eq2, capsys):
     assert code == 1 and "error:" in out.err
 
 
-def test_team_commands_above_meaning_guard(tmp_path, capsys):
-    """Count 27: truth and eval answer team by team, without the algebra."""
+@pytest.fixture
+def k3(tmp_path):
     path = tmp_path / "k3.ifgs"
     path.write_text("universe 3\n")
-    argv = ["-s", str(path), "-f", "A v0/{} A v1/{} A v2/{} (v0=v0)",
-            "-n", "3"]
+    return str(path)
+
+
+def test_team_commands_above_meaning_guard(k3, capsys):
+    """Count 27: truth reads the game antichains and eval recurses on the
+    one team it is given; neither builds the algebra."""
+    argv = ["-s", k3, "-f", "A v0/{} A v1/{} A v2/{} (v0=v0)", "-n", "3"]
     code, out = run(capsys, ["truth"] + argv)
     assert code == 0 and out.out == "true\n"
     code, out = run(capsys, ["eval"] + argv + ["--team", "000,111,222"])
@@ -156,3 +162,36 @@ def test_guard_exits_two(tmp_path, capsys):
     code, out = run(capsys, ["meaning", "-s", str(path), "-f", "v0=v1",
                              "-n", "2"])
     assert code == 2 and "error:" in out.err
+
+
+def test_truth_at_count_27(k3, capsys):
+    """The per-team recursion never returned on the first sentence."""
+    for text, verdict in (("A v0/{} E v1/{} (v0=v1)", "true"),
+                          ("A v0/{} E v1/{0} (v0=v1)", "undetermined")):
+        code, out = run(capsys, ["truth", "-s", k3, "-f", text, "-n", "3"])
+        assert code == 0 and out.out == verdict + "\n"
+
+
+def test_game_at_count_27(k3, capsys):
+    """One ~J class per target: its candidates are sorted, not reduced."""
+    text = "~~((v0=v1 /\\{0} v1=v2) /\\{} A v1/{0} v0=v1)"
+    space = games.GameAnalyzer(Structure(3), 3).space
+    team = ",".join(space.digits(i) for i in range(space.count))
+    code, out = run(capsys, ["game", "-s", k3, "-f", text, "-n", "3",
+                             "--team", team, "--player", "0"])
+    assert code == 0
+    lines = out.out.splitlines()
+    assert lines[0] == "winning strategy for player 0"
+    ga = games.GameAnalyzer(Structure(3), 3)
+    formula = syntax.parse(text, 3)
+    won, strategy = ga.has_winning_strategy(formula, space.full_team, 0)
+    assert won and lines[1:] == strategy.render().splitlines()
+    assert ga.verify_strategy(formula, space.full_team, strategy)
+
+
+def test_truth_search_guard_exits_two(tmp_path, capsys):
+    path = tmp_path / "k4.ifgs"
+    path.write_text("universe 4\n")
+    code, out = run(capsys, ["truth", "-s", str(path), "-f",
+                             "A v0/{} E v1/{0} (v0=v1)", "-n", "3"])
+    assert code == 2 and "strategy search space too large" in out.err

@@ -1,8 +1,15 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import classical
 from ifg import syntax, trump, games
 from ifg.errors import IfgError
-from ifg.model import Structure, bits
+from ifg.model import Structure, Space, bits
+
+from test_acceptance import REL2, depth_three_nodes
+from test_syntax import ATOMS, nodes, signature
 
 EQ2 = Structure(2)
 
@@ -209,9 +216,130 @@ def test_every_entry_checks_the_variable_count():
                lambda f: ga.winning_mask(f, 1),
                lambda f: ga.play_out(f, {}, 0),
                lambda f: ga.verify_strategy(f, 1, games.Strategy(1)),
-               lambda f: ga.reachable_positions(f, 1)]
+               lambda f: ga.reachable_positions(f, 1),
+               ga.truth_value]
     for entry in entries:
         with pytest.raises(IfgError, match="formula has 2 variables"):
             entry(wide)
         with pytest.raises(IfgError, match="index 1 out of range"):
             entry(wide.root)
+
+
+# -- truth values --------------------------------------------------------------
+
+
+def test_truth_value_of_bare_nodes():
+    ga = games.GameAnalyzer(EQ2, 2)
+    assert ga.truth_value(syntax.parse("E v0/{} (v0=v0)", 1).root) == "true"
+    with pytest.raises(IfgError, match="not a sentence"):
+        ga.truth_value(syntax.parse("v0=v1", 2).root)
+
+
+def close(node):
+    """The sentence A vi/{} ... node, one quantifier per free variable."""
+    for i in sorted(node.freevars):
+        node = syntax.forall(i, frozenset(), node)
+    return node
+
+
+def _assert_truth_matches_fold(size, nvars, node):
+    sentence = close(node)
+    x = trump.Evaluator(signature(size), nvars).element(sentence)
+    full = Space(size, nvars).full_team
+    want = ("true" if x.plus >> full & 1 else
+            "false" if x.minus >> full & 1 else "undetermined")
+    ga = games.GameAnalyzer(signature(size), nvars)
+    assert ga.truth_value(sentence) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes.filter(lambda n: n.height <= 4))
+def test_truth_matches_fold_count8_random(node):
+    _assert_truth_matches_fold(2, 3, node)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes.filter(lambda n: n.height <= 4 and n.maxindex < 2))
+def test_truth_matches_fold_count9_random(node):
+    _assert_truth_matches_fold(3, 2, node)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodes.filter(lambda n: n.height <= 4))
+def test_truth_matches_fold_count16_random(node):
+    _assert_truth_matches_fold(2, 4, node)
+
+
+slash_free = st.recursive(
+    st.sampled_from(ATOMS).map(syntax.atomic),
+    lambda kids: st.one_of(
+        kids.map(syntax.negate),
+        st.tuples(kids, kids).map(lambda t: syntax.disj(frozenset(), *t)),
+        st.tuples(st.integers(0, 2), kids).map(
+            lambda t: syntax.exists(t[0], frozenset(), t[1]))),
+    max_leaves=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slash_free)
+def test_truth_matches_classical_count27(node):
+    sentence = close(node)
+    structure = signature(3)
+    team = classical.truth_team(structure, 3, sentence)
+    want = "true" if team == Space(3, 3).full_team else "false"
+    assert games.GameAnalyzer(structure, 3).truth_value(sentence) == want
+
+
+# -- shared primitives ---------------------------------------------------------
+
+
+def _assert_preimages(space, team):
+    for n in range(space.nvars):
+        pres = space.preimages(team, n)
+        assert len(pres) == space.size
+        for b, pre in enumerate(pres):
+            want = 0
+            for v in range(space.count):
+                if team >> space.variant_index(v, n, b) & 1:
+                    want |= 1 << v
+            assert pre == want
+
+
+def test_preimages_match_variant_index():
+    space = Space(2, 2)
+    for team in range(1 << space.count):
+        _assert_preimages(space, team)
+    rng = random.Random(7)
+    for size, nvars in ((3, 2), (3, 3), (2, 5)):
+        space = Space(size, nvars)
+        for _ in range(20):
+            _assert_preimages(space, rng.getrandbits(space.count))
+
+
+def _full_reduction(groups):
+    """The maximal keys of all candidates, reduced whatever the grouping."""
+    candidates = {}
+    for group in groups:
+        for w, prov in group:
+            candidates.setdefault(w, prov)
+    out = []
+    for w in sorted(candidates, key=lambda x: (-x.bit_count(), x)):
+        if not any(w & ~kept == 0 for kept, _ in out):
+            out.append((w, candidates[w]))
+    return out
+
+
+def test_antichain_matches_full_reduction(monkeypatch):
+    """Sorting a single group instead of reducing it changes no entry."""
+    pool = depth_three_nodes()
+    ga = games.GameAnalyzer(REL2, 2)
+    want = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(games, "_maximal", _full_reduction)
+        full = games.GameAnalyzer(REL2, 2)
+        for node in pool:
+            for myturn in (True, False):
+                want[node.uid, myturn] = full.antichain(node, myturn)
+    for node in pool:
+        for myturn in (True, False):
+            assert ga.antichain(node, myturn) == want[node.uid, myturn]

@@ -1,7 +1,10 @@
-"""The module layering model -> downsets -> algebra -> trump.
+"""The module layering model -> downsets -> algebra -> trump, and games
+beside it on model alone.
 
 Each module is imported in a fresh interpreter, which must not load any
-module above it in that order.
+module above it in that order.  The game search must load none of
+downsets, algebra and trump, or the tests that check it against the fold
+would check the fold against itself.
 """
 
 import subprocess
@@ -25,3 +28,11 @@ def test_no_module_imports_one_above_it():
         loaded = loaded_by(module)
         assert module in loaded
         assert not loaded & set(ORDER[i + 1:]), module
+
+
+def test_games_is_independent_of_the_fold():
+    """The game search shares only model with the fold it is checked
+    against."""
+    loaded = loaded_by("ifg.games")
+    assert "ifg.games" in loaded
+    assert not loaded & set(ORDER[1:])

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from ifg import syntax
 from ifg.errors import IfgError, ParseError, GuardExceeded
+from ifg.model import Structure
 
 NVARS = 3
 
@@ -23,6 +24,16 @@ nodes = st.recursive(
             lambda t: syntax.exists(*t))),
     max_leaves=5,
 ).filter(lambda n: n.height <= syntax.MAX_FORMULA_DEPTH)
+
+
+def signature(size):
+    """Interprets every symbol of the formulas of `nodes`."""
+    return Structure(
+        size, constants={"c": size - 1, "c0": 0, "c1": 1},
+        functions={"f": (1, {(a,): (a + 1) % size for a in range(size)})},
+        relations={"R": (1, {(0,)}), "P": (1, {(0,)}),
+                   "S": (2, {(a, b) for a in range(size)
+                             for b in range(size) if a <= b})})
 
 
 # -- parsing and rendering ----------------------------------------------------

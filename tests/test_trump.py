@@ -6,7 +6,7 @@ from ifg.downsets import Downsets
 from ifg.errors import IfgError, GuardExceeded
 from ifg.model import Structure, Space, bits
 
-from test_syntax import nodes
+from test_syntax import nodes, signature
 
 EQ2 = Structure(2)
 CONST2 = Structure(2, constants={"c0": 0, "c1": 1})
@@ -135,27 +135,17 @@ def test_singleton_base_is_bivalent():
         assert m.plus | m.minus == (1 << (1 << ev.space.count)) - 1
 
 
-def _signature(size):
-    """Interprets every symbol of the hypothesis formulas of test_syntax."""
-    return Structure(
-        size, constants={"c": size - 1, "c0": 0, "c1": 1},
-        functions={"f": (1, {(a,): (a + 1) % size for a in range(size)})},
-        relations={"R": (1, {(0,)}), "P": (1, {(0,)}),
-                   "S": (2, {(a, b) for a in range(size)
-                             for b in range(size) if a <= b})})
-
-
 # counts 4, 8 and 9
 BULK_CASES = [
     (EQ2, 2, SAMPLE_TEXTS),
-    (_signature(2), 3, [
+    (signature(2), 3, [
         "(v0=c0 \\/{0} P(v1))",
         "E v2/{0,1} (v0=v2 \\/{1} v1=c1)",
         "A v0/{} E v2/{0} (v0=v2 /\\{2} ~P(v1))",
         "E v1/{0} (v0=v1 \\/{2} (v2=c0 /\\{0} v1=v2))",
         "A v2/{1} E v0/{2} (v0=v2)",
     ]),
-    (_signature(3), 2, [
+    (signature(3), 2, [
         "(v0=c1 \\/{0} P(v1))",
         "E v1/{0} (v0=v1 \\/{1} v1=c0)",
         "A v0/{} E v1/{0} (v0=v1)",
@@ -182,13 +172,13 @@ def test_bulk_matches_per_team():
 @settings(max_examples=60, deadline=None)
 @given(nodes.filter(lambda n: n.height <= 4))
 def test_bulk_matches_per_team_count8_random(node):
-    _assert_bulk_matches(trump.Evaluator(_signature(2), 3), node)
+    _assert_bulk_matches(trump.Evaluator(signature(2), 3), node)
 
 
 @settings(max_examples=20, deadline=None)
 @given(nodes.filter(lambda n: n.height <= 4 and n.maxindex < 2))
 def test_bulk_matches_per_team_count9_random(node):
-    _assert_bulk_matches(trump.Evaluator(_signature(3), 2), node)
+    _assert_bulk_matches(trump.Evaluator(signature(3), 2), node)
 
 
 def test_bulk_matches_games_at_count_16(tmp_path, capsys):
@@ -251,14 +241,12 @@ def test_constant_meaning_value():
 
 
 def test_truth_values():
-    assert trump.truth_value(
-        EQ2, syntax.parse("A v0/{} E v1/{} (v0=v1)", 2)) == "true"
-    assert trump.truth_value(
-        EQ2, syntax.parse("A v0/{} A v1/{} (v0=v1)", 2)) == "false"
-    assert trump.truth_value(
-        EQ2, syntax.parse("A v0/{} E v1/{0} (v0=v1)", 2)) == "undetermined"
+    truth = games.GameAnalyzer(EQ2, 2).truth_value
+    assert truth(syntax.parse("A v0/{} E v1/{} (v0=v1)", 2)) == "true"
+    assert truth(syntax.parse("A v0/{} A v1/{} (v0=v1)", 2)) == "false"
+    assert truth(syntax.parse("A v0/{} E v1/{0} (v0=v1)", 2)) == "undetermined"
     with pytest.raises(IfgError):
-        trump.truth_value(EQ2, syntax.parse("v0=v1", 2))
+        truth(syntax.parse("v0=v1", 2))
 
 
 def test_maximal_teams():
@@ -285,7 +273,7 @@ def test_dimension_mismatch():
     wide = syntax.parse("E v1/{} (v1=v1)", 2)
     entries = [lambda f: ev.satisfies(f, 1, True),
                lambda f: ev.winning_mask(f, True),
-               ev.element, ev.meaning, ev.truth_value]
+               ev.element, ev.meaning]
     for entry in entries:
         with pytest.raises(IfgError, match="formula has 2 variables"):
             entry(wide)
