@@ -6,10 +6,12 @@ coordinates, slashed sum builds saturated covers, slashed product is the De
 Morgan dual, and cylindrification existentially projects one variable.
 They are the one implementation of the connectives on team sets: a
 formula's meaning (`trump.Evaluator.element`) is its fold into them.
-Where an operand's team set is downward closed (a suit), sum and
-cylindrification run the whole-mask kernels of `downsets`; other team sets
-go through loops over teams.  A context enumerates all 2**count teams, so
-it refuses spaces of more than MEANING_GUARD valuations.
+Sum and the plus part of cylindrification run the `downsets` kernels on
+downward-closed team sets (suits); elsewhere sum splits the ~J classes
+between its operands and cylindrification goes team by team.  The minus
+part of cylindrification has one kernel for all team sets.  A context
+enumerates all 2**count teams, so it refuses spaces of more than
+MEANING_GUARD valuations.
 
 The law registry collects the equations and inequalities these algebras
 satisfy, each with its exact side conditions, plus a handful of classical
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
-from .model import Space, Structure, atom_mask, bits, eval_atomic
+from .model import Space, Structure, atom_mask, bits, eval_atomic, powerset
 from .downsets import Downsets
 
 GENERATION_CAP = 20000
@@ -51,7 +53,7 @@ class AlgebraContext:
         self.mho = Element(self.all_teamsets, self.all_teamsets)
         self.full_j = frozenset(range(nvars))
         self.downsets = Downsets(self.space)
-        self._touched = {}
+        self._outside = {}   # J -> powerset of the complement of each class
         self._diag = {}
         self._cyl = {}
         self._add = {}
@@ -74,16 +76,6 @@ class AlgebraContext:
     def neg(self, x):
         return Element(x.minus, x.plus)
 
-    def _touched_table(self, jset):
-        jset = frozenset(jset)
-        table = self._touched.get(jset)
-        if table is None:
-            space = self.space
-            table = [space.touched_classes(t, jset)
-                     for t in range(1 << space.count)]
-            self._touched[jset] = table
-        return table
-
     def add(self, jset, x, y):
         jset = frozenset(jset)
         key = (jset, x, y)
@@ -94,22 +86,35 @@ class AlgebraContext:
         if downsets.is_downset(x.plus) and downsets.is_downset(y.plus):
             plus = downsets.or_plus(jset, x.plus, y.plus)
         else:
-            plus = self._sum_loop(jset, x.plus, y.plus)
+            plus = self._sum_split(jset, x.plus, y.plus)
         result = Element(plus, x.minus & y.minus)
         self._add[key] = result
         return result
 
-    def _sum_loop(self, jset, left, right):
-        """The plus part of x +_J y by pairs of teams; any team sets."""
-        touched = self._touched_table(jset)
-        right_teams = [(v2, touched[v2]) for v2 in bits(right)]
-        plus = 0
-        for v1 in bits(left):
-            t1 = touched[v1]
-            for v2, t2 in right_teams:
-                if t1 & t2 == 0:
-                    plus |= 1 << (v1 | v2)
-        return plus
+    def _sum_split(self, jset, left, right):
+        """The plus part of x +_J y by splits of the ~J classes; any team sets.
+
+        Each class goes to the teams of one operand, and the other operand
+        keeps only its teams that miss the class; a class that one operand
+        never meets needs no split.  Once every class is placed, the two
+        operands use disjoint valuations, so their product is the sum.
+        """
+        outside = self._outside.get(jset)
+        if outside is None:
+            space = self.space
+            classes, _ = space.classes(jset)
+            outside = [powerset(space.full_team & ~c) for c in classes]
+            self._outside[jset] = outside
+
+        def split(i, left, right):
+            while i < len(outside) and left and right:
+                lmiss, rmiss = left & outside[i], right & outside[i]
+                i += 1
+                if lmiss != left and rmiss != right:
+                    return split(i, left, rmiss) | split(i, lmiss, right)
+            return left * right
+
+        return split(0, left, right)
 
     def mul(self, jset, x, y):
         return self.neg(self.add(jset, self.neg(x), self.neg(y)))
@@ -125,11 +130,7 @@ class AlgebraContext:
             plus = downsets.exists_plus(n, jset, x.plus)
         else:
             plus = self._exists_loop(n, jset, x.plus)
-        if downsets.is_downset(x.minus):
-            minus = downsets.exists_minus(n, x.minus)
-        else:
-            minus = self._exists_all_loop(n, x.minus)
-        result = Element(plus, minus)
+        result = Element(plus, downsets.exists_minus(n, x.minus))
         self._cyl[key] = result
         return result
 
@@ -143,15 +144,6 @@ class AlgebraContext:
                     plus |= 1 << team
                     break
         return plus
-
-    def _exists_all_loop(self, n, family):
-        """The minus part of C_{n,J}(x) team by team; any team set."""
-        space = self.space
-        minus = 0
-        for team in range(1 << space.count):
-            if family >> space.variant_team_all(team, n) & 1:
-                minus |= 1 << team
-        return minus
 
     def dual_cyl(self, n, jset, x):
         return self.neg(self.cyl(n, jset, self.neg(x)))

@@ -1,11 +1,13 @@
-"""Whole-mask kernels on downward-closed team sets.
+"""Whole-mask kernels on team sets, most of them on downward-closed ones.
 
 A team is an int bitmask over valuation indices, and a team set is an int
 bitmask over team indices: bit t says whether team t belongs to it.  A
-downward-closed team set is fixed by its maximal teams, so the operators
-below walk that antichain and handle each maximal team with O(count)
-big-int operations on whole masks, instead of visiting the 2**count teams
-one at a time.  Two facts carry them:
+downward-closed team set is fixed by its maximal teams, so or_plus and
+exists_plus walk that antichain and handle each maximal team with
+O(count) big-int operations on whole masks, instead of visiting the
+2**count teams one at a time.  exists_minus takes any team set: it reads
+a table of the teams that each union of lines varies to.  Two facts carry
+them:
 
 - Adding valuation i to a team that lacks it adds 2**i to the team's index.
   So (F & HI[i]) >> 2**i, where HI[i] holds the teams that contain i, is
@@ -15,8 +17,8 @@ one at a time.  Two facts carry them:
   equals a | b and determines a and b, so no two terms carry into the
   same bit.
 
-The quantifier kernels read a maximal team's variations through
-`Space.preimages`, the whole-mask primitive the game search uses too.
+exists_plus reads a maximal team's variations through `Space.preimages`,
+the whole-mask primitive the game search uses too.
 """
 
 from .model import bits, powerset
@@ -36,8 +38,9 @@ def _hi_mask(i, nbits):
 class Downsets:
     """The kernels over the team sets of one valuation space.
 
-    The operands of maximal, or_plus, exists_plus and exists_minus must be
-    downward closed (the empty team set counts as one); is_downset tells.
+    The operands of maximal, or_plus and exists_plus must be downward
+    closed (the empty team set counts as one); is_downset tells.
+    exists_minus takes any team set.
     """
 
     def __init__(self, space):
@@ -48,6 +51,7 @@ class Downsets:
         self._dropped = {}   # team set -> _drop(team set)
         self._maximal = {}   # team set -> maximal teams
         self._parts = {}     # (J, team set) -> class-wise powersets
+        self._cylinder = {}  # n -> exists_minus table, built on first use
 
     def _hi_masks(self):
         if self._hi is None:
@@ -127,11 +131,25 @@ class Downsets:
         return out
 
     def exists_minus(self, n, child):
-        """Teams V whose variation over every value of variable n is in child."""
+        """Teams V whose variation over every value of variable n is in child.
+
+        Any team set.  Variation maps V to the union C of the n-lines (the
+        ~{n} classes) that V meets.  The V with V[n/A] = C take a nonempty
+        part of each line of C and nothing else: the disjoint-support
+        product of powerset(line) - 1 over those lines.  A table of (C, its
+        V) is built once per n, and the answer is the OR of the entries
+        whose C is in child.
+        """
+        table = self._cylinder.get(n)
+        if table is None:
+            lines, _ = self.space.classes((n,))
+            table = [(0, 1)]
+            for line in lines:
+                table += [(union | line, teams * (powerset(line) - 1))
+                          for union, teams in table]
+            self._cylinder[n] = table
         out = 0
-        for w in self.maximal(child):
-            common = self.space.full_team
-            for pre in self.space.preimages(w, n):
-                common &= pre
-            out |= powerset(common)
+        for union, teams in table:
+            if child >> union & 1:
+                out |= teams
         return out

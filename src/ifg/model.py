@@ -290,15 +290,6 @@ class Space:
         masks, _ = self.classes(jset)
         return [m & team for m in masks if m & team]
 
-    def touched_classes(self, team, jset):
-        """Bitmask over class ids of the ~J classes the team intersects."""
-        masks, _ = self.classes(jset)
-        out = 0
-        for cid, m in enumerate(masks):
-            if m & team:
-                out |= 1 << cid
-        return out
-
     def saturated_splits(self, team, jset):
         """All ordered pairs (V1, V2) with V = V1 union_J V2.
 
@@ -424,7 +415,3 @@ def powerset(team):
         out |= out << low
         team ^= low
     return out
-
-
-def popcount(mask):
-    return mask.bit_count()

@@ -214,7 +214,7 @@ def test_cyl_chain_order():
 # -- the law registry ----------------------------------------------------------------
 
 
-# -- the suit kernels against the loops over teams -------------------------------
+# -- the kernels against the general paths and the definitions ------------------
 
 
 def _brute_downset(mask):
@@ -262,12 +262,70 @@ def test_suit_kernels_match_team_loops(size, nvars):
     assert all(algebra.is_double_suit(ctx, x) for x in elems)
     for j in ctx.jsets():
         for x, y in itertools.product(elems, repeat=2):
-            assert ctx.add(j, x, y).plus == ctx._sum_loop(j, x.plus, y.plus)
+            assert ctx.add(j, x, y).plus == ctx._sum_split(j, x.plus, y.plus)
         for n in range(nvars):
             for x in elems:
-                c = ctx.cyl(n, j, x)
-                assert c.plus == ctx._exists_loop(n, j, x.plus)
-                assert c.minus == ctx._exists_all_loop(n, x.minus)
+                assert ctx.cyl(n, j, x).plus == ctx._exists_loop(n, j, x.plus)
+
+
+def _brute_sum(space, jset, left, right):
+    """Teams with a saturated split into a team of left and one of right."""
+    return sum(1 << team for team in range(1 << space.count)
+               if any(left >> v1 & 1 and right >> v2 & 1
+                      for v1, v2 in space.saturated_splits(team, jset)))
+
+
+def _brute_cyl(space, n, jset, x):
+    teams = range(1 << space.count)
+    plus = sum(1 << team for team in teams
+               if any(x.plus >> space.variant_team_fn(n, blocks, values) & 1
+                      for blocks, values
+                      in space.independent_functions(team, jset)))
+    minus = sum(1 << team for team in teams
+                if x.minus >> space.variant_team_all(team, n) & 1)
+    return Element(plus, minus)
+
+
+def _non_suit_pairs(ctx, rng, count):
+    """Elements whose plus and minus are both not downward closed, dense
+    (each team in with chance 1/2) and sparse (1 to 4 teams) in turn."""
+    nteams = 1 << ctx.space.count
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            parts = [sum(1 << rng.randrange(nteams)
+                         for _ in range(rng.randint(1, 4))) for _ in range(2)]
+        else:
+            parts = [rng.getrandbits(nteams) for _ in range(2)]
+        if not any(map(ctx.downsets.is_downset, parts)):
+            out.append(Element(*parts))
+    return out
+
+
+@pytest.mark.parametrize("size,nvars", [(2, 1), (3, 1), (2, 2), (2, 3),
+                                        (3, 2), (0, 1), (1, 2)])
+def test_operations_match_brute_force(size, nvars):
+    """add, mul and cyl on any team sets against the definitions, team by
+    team: a sum is a saturated split, a cylinder a choice function."""
+    ctx = AlgebraContext(size, nvars)
+    space = ctx.space
+    if ctx.all_teamsets < 4:
+        masks = range(ctx.all_teamsets + 1)
+        elems = [Element(p, m) for p in masks for m in masks]
+    else:
+        elems = _non_suit_pairs(ctx, random.Random(size * 10 + nvars), 4)
+    # At count 9 a sparse plus part makes both _exists_loop and the brute
+    # force walk up to 4**9 choice functions per cylinder, seconds each.
+    cyl_elems = elems if space.count < 9 else elems[::2]
+    for j in ctx.jsets():
+        for x, y in itertools.product(elems, repeat=2):
+            assert ctx.add(j, x, y) == Element(
+                _brute_sum(space, j, x.plus, y.plus), x.minus & y.minus)
+            assert ctx.mul(j, x, y) == Element(
+                x.plus & y.plus, _brute_sum(space, j, x.minus, y.minus))
+        for n in range(nvars):
+            for x in cyl_elems:
+                assert ctx.cyl(n, j, x) == _brute_cyl(space, n, j, x)
 
 
 def test_absorption_flat_needs_rooted_operands():

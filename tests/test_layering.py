@@ -1,5 +1,5 @@
 """The module layering model -> downsets -> algebra -> trump, and games
-beside it on model alone.
+beside it on model alone; and no assert statement in the package.
 
 Each module is imported in a fresh interpreter, which must not load any
 module above it in that order.  The game search must load none of
@@ -7,6 +7,7 @@ downsets, algebra and trump, or the tests that check it against the fold
 would check the fold against itself.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,12 @@ def test_games_is_independent_of_the_fold():
     loaded = loaded_by("ifg.games")
     assert "ifg.games" in loaded
     assert not loaded & set(ORDER[1:])
+
+
+def test_no_assert_in_the_package():
+    """Invariants are checked by raising, so that they survive python -O."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted((SRC / "ifg").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
