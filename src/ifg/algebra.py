@@ -7,11 +7,11 @@ Morgan dual, and cylindrification existentially projects one variable.
 They are the one implementation of the connectives on team sets: a
 formula's meaning (`trump.Evaluator.element`) is its fold into them.
 Sum and the plus part of cylindrification run the `downsets` kernels on
-downward-closed team sets (suits); elsewhere sum splits the ~J classes
-between its operands and cylindrification goes team by team.  The minus
-part of cylindrification has one kernel for all team sets.  A context
-enumerates all 2**count teams, so it refuses spaces of more than
-MEANING_GUARD valuations.
+downward-closed team sets (suits).  Elsewhere sum splits the ~J classes
+between its operands, and cylindrification takes a preimage one block of
+valuations at a time, as its minus part does on every team set.  A
+context keeps team sets over all 2**count teams, so it refuses spaces of
+more than MEANING_GUARD valuations.
 
 The law registry collects the equations and inequalities these algebras
 satisfy, each with its exact side conditions, plus a handful of classical
@@ -23,11 +23,10 @@ from typing import NamedTuple
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
-from .model import Space, Structure, atom_mask, bits, eval_atomic, powerset
-from .downsets import Downsets
+from .model import Space, Structure, atom_mask, bits, eval_atomic
+from .downsets import Downsets, MEANING_GUARD
 
 GENERATION_CAP = 20000
-MEANING_GUARD = 20
 
 
 class Element(NamedTuple):
@@ -53,7 +52,6 @@ class AlgebraContext:
         self.mho = Element(self.all_teamsets, self.all_teamsets)
         self.full_j = frozenset(range(nvars))
         self.downsets = Downsets(self.space)
-        self._outside = {}   # J -> powerset of the complement of each class
         self._diag = {}
         self._cyl = {}
         self._add = {}
@@ -99,15 +97,11 @@ class AlgebraContext:
         never meets needs no split.  Once every class is placed, the two
         operands use disjoint valuations, so their product is the sum.
         """
-        outside = self._outside.get(jset)
-        if outside is None:
-            space = self.space
-            classes, _ = space.classes(jset)
-            outside = [powerset(space.full_team & ~c) for c in classes]
-            self._outside[jset] = outside
+        outside = self.downsets.outside(jset)
+        last = len(outside)
 
         def split(i, left, right):
-            while i < len(outside) and left and right:
+            while i < last and left and right:
                 lmiss, rmiss = left & outside[i], right & outside[i]
                 i += 1
                 if lmiss != left and rmiss != right:
@@ -129,21 +123,10 @@ class AlgebraContext:
         if downsets.is_downset(x.plus):
             plus = downsets.exists_plus(n, jset, x.plus)
         else:
-            plus = self._exists_loop(n, jset, x.plus)
+            plus = downsets.exists_blocks(n, jset, x.plus)
         result = Element(plus, downsets.exists_minus(n, x.minus))
         self._cyl[key] = result
         return result
-
-    def _exists_loop(self, n, jset, family):
-        """The plus part of C_{n,J}(x) team by team; any team set."""
-        space = self.space
-        plus = 0
-        for team in range(1 << space.count):
-            for blocks, values in space.independent_functions(team, jset):
-                if family >> space.variant_team_fn(n, blocks, values) & 1:
-                    plus |= 1 << team
-                    break
-        return plus
 
     def dual_cyl(self, n, jset, x):
         return self.neg(self.cyl(n, jset, self.neg(x)))
@@ -155,11 +138,8 @@ class AlgebraContext:
         return x
 
     def jsets(self):
-        out = []
-        for k in range(self.nvars + 1):
-            for combo in itertools.combinations(range(self.nvars), k):
-                out.append(frozenset(combo))
-        return out
+        return [frozenset(combo) for k in range(self.nvars + 1)
+                for combo in itertools.combinations(range(self.nvars), k)]
 
     def render(self, x):
         space = self.space

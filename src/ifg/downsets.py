@@ -1,13 +1,14 @@
-"""Whole-mask kernels on team sets, most of them on downward-closed ones.
+"""Whole-mask kernels on team sets.
 
 A team is an int bitmask over valuation indices, and a team set is an int
 bitmask over team indices: bit t says whether team t belongs to it.  A
 downward-closed team set is fixed by its maximal teams, so or_plus and
 exists_plus walk that antichain and handle each maximal team with
 O(count) big-int operations on whole masks, instead of visiting the
-2**count teams one at a time.  exists_minus takes any team set: it reads
-a table of the teams that each union of lines varies to.  Two facts carry
-them:
+2**count teams one at a time.  exists_minus and exists_blocks take any
+team set: each takes the preimage of its clause one block of valuations
+at a time, a block being a set that the clause maps into itself.  Three
+facts carry them:
 
 - Adding valuation i to a team that lacks it adds 2**i to the team's index.
   So (F & HI[i]) >> 2**i, where HI[i] holds the teams that contain i, is
@@ -16,12 +17,19 @@ them:
   {a | b : a in A, b in B} is the plain integer product A * B: every a + b
   equals a | b and determines a and b, so no two terms carry into the
   same bit.
+- For a team w inside a block B, (F >> w) & OUT[B], where OUT[B] holds
+  the teams that miss B, is the set of teams u missing B with u | w in F.
 
 exists_plus reads a maximal team's variations through `Space.preimages`,
 the whole-mask primitive the game search uses too.
 """
 
+from math import prod
+
+from .errors import GuardExceeded
 from .model import bits, powerset
+
+MEANING_GUARD = 20   # most valuations of a context; bounds table sizes too
 
 
 def _hi_mask(i, nbits):
@@ -40,7 +48,7 @@ class Downsets:
 
     The operands of maximal, or_plus and exists_plus must be downward
     closed (the empty team set counts as one); is_downset tells.
-    exists_minus takes any team set.
+    exists_minus and exists_blocks take any team set.
     """
 
     def __init__(self, space):
@@ -51,7 +59,8 @@ class Downsets:
         self._dropped = {}   # team set -> _drop(team set)
         self._maximal = {}   # team set -> maximal teams
         self._parts = {}     # (J, team set) -> class-wise powersets
-        self._cylinder = {}  # n -> exists_minus table, built on first use
+        self._outside = {}   # J -> the teams that miss each ~J class
+        self._tables = {}    # (n, J) -> exists_blocks tables
 
     def _hi_masks(self):
         if self._hi is None:
@@ -130,26 +139,67 @@ class Downsets:
             out |= product
         return out
 
+    def outside(self, jset):
+        """For each ~J class, the team set of the teams that miss it."""
+        out = self._outside.get(jset)
+        if out is None:
+            full = self.space.full_team
+            out = self._outside[jset] = [powerset(full & ~c)
+                                         for c in self.space.classes(jset)[0]]
+        return out
+
     def exists_minus(self, n, child):
         """Teams V whose variation over every value of variable n is in child.
 
-        Any team set.  Variation maps V to the union C of the n-lines (the
-        ~{n} classes) that V meets.  The V with V[n/A] = C take a nonempty
-        part of each line of C and nothing else: the disjoint-support
-        product of powerset(line) - 1 over those lines.  A table of (C, its
-        V) is built once per n, and the answer is the OR of the entries
-        whose C is in child.
+        Any team set, one n-line (a ~{n} class) at a time: a team keeps its
+        part outside the line and swaps the whole line for each nonempty
+        part of it.
         """
-        table = self._cylinder.get(n)
-        if table is None:
-            lines, _ = self.space.classes((n,))
-            table = [(0, 1)]
-            for line in lines:
-                table += [(union | line, teams * (powerset(line) - 1))
-                          for union, teams in table]
-            self._cylinder[n] = table
-        out = 0
-        for union, teams in table:
-            if child >> union & 1:
-                out |= teams
-        return out
+        lines = frozenset((n,))
+        for line, out in zip(self.space.classes(lines)[0], self.outside(lines)):
+            keep, child, part = child >> line & out, child & out, line
+            while part:   # each nonempty part of the line
+                child |= keep << part
+                part = part - 1 & line
+        return child
+
+    def exists_blocks(self, n, jset, child):
+        """exists_plus on any team set, one ~(J + {n}) class at a time.
+
+        Each ~J class lies in one such block, and s[n/a] stays in the block
+        of s.  Per block, a team keeps its part outside and swaps its part
+        v inside for each w that v varies to, from a table per (n, J) of
+        the v's of each w.
+        """
+        tables = self._tables.get((n, jset))
+        if tables is None:
+            pairs = self.table_pairs(n, jset)
+            if pairs > 1 << MEANING_GUARD:
+                raise GuardExceeded(
+                    "C_%d,%s needs %d team-variant pairs (limit %d)"
+                    % (n, sorted(jset), pairs, 1 << MEANING_GUARD))
+            tables = []
+            for block in self.space.classes(jset | {n})[0]:
+                tables.append({})
+                for v in bits(powerset(block)):
+                    for fn in self.space.independent_functions(v, jset):
+                        w = self.space.variant_team_fn(n, *fn)
+                        tables[-1].setdefault(w, []).append(v)
+            self._tables[(n, jset)] = tables
+        for out, table in zip(self.outside(jset | {n}), tables):
+            part = 0
+            for w, sources in table.items():
+                keep = child >> w & out
+                if keep:
+                    for v in sources:
+                        part |= keep << v
+            child = part
+        return child
+
+    def table_pairs(self, n, jset):
+        """Size of the exists_blocks tables, refused above 2**MEANING_GUARD:
+        the sum over the blocks of the product over their ~J classes c of
+        1 + K * (2**|c| - 1)."""
+        return sum(prod(1 + self.space.size * ((1 << c.bit_count()) - 1)
+                        for c in self.space.classes(jset)[0] if c & block)
+                   for block in self.space.classes(jset | {n})[0])

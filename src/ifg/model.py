@@ -7,7 +7,7 @@ Digit-string notation writes a valuation as its digits in variable order,
 so "01" means v0=0, v1=1.
 """
 
-from itertools import compress
+from itertools import compress, product
 
 from .errors import IfgError, ParseError
 from . import syntax
@@ -155,12 +155,9 @@ class Space:
     def __init__(self, size, nvars):
         self.size = size
         self.nvars = nvars
-        self.count = size ** nvars if nvars > 0 else 1
-        if size == 0 and nvars > 0:
-            self.count = 0
+        self.count = size ** nvars
         self.full_team = (1 << self.count) - 1
         self._classes = {}
-        self._variant = {}
         self._slices = {}    # n -> (digit slice for each value b, repeat)
         self._digits = None
 
@@ -296,12 +293,8 @@ class Space:
         Yields 2**(number of touched classes) pairs; parts may be empty.
         """
         blocks = self.team_classes(team, jset)
-        k = len(blocks)
-        for choice in range(1 << k):
-            v1 = 0
-            for i in range(k):
-                if not choice >> i & 1:
-                    v1 |= blocks[i]
+        for keep in product((1, 0), repeat=len(blocks)):
+            v1 = sum(compress(blocks, keep[::-1]))
             yield v1, team ^ v1
 
     def independent_functions(self, team, jset):
@@ -312,28 +305,10 @@ class Space:
         single empty function.
         """
         blocks = self.team_classes(team, jset)
-        k = len(blocks)
-        if k == 0:
-            yield blocks, ()
-            return
-        values = [0] * k
-        total = self.size ** k
-        for code in range(total):
-            rem = code
-            for i in range(k):
-                values[i] = rem % self.size
-                rem //= self.size
-            yield blocks, tuple(values)
+        for values in product(range(self.size), repeat=len(blocks)):
+            yield blocks, values[::-1]
 
     # -- variations ----------------------------------------------------------
-
-    def _variant_map(self, n, b):
-        key = (n, b)
-        table = self._variant.get(key)
-        if table is None:
-            table = [self.variant_index(i, n, b) for i in range(self.count)]
-            self._variant[key] = table
-        return table
 
     def _digit_slices(self, n):
         """(masks of valuations with digit n == b for each b, repeat)."""
@@ -362,17 +337,16 @@ class Space:
                 for b, mask in enumerate(masks)]
 
     def variant_team(self, team, n, b):
-        table = self._variant_map(n, b)
-        out = 0
-        for i in bits(team):
-            out |= 1 << table[i]
-        return out
+        """{s[n/b] : s in team}: the n-lines that team meets, at digit b."""
+        stride = self.size ** n
+        low = 0
+        for c, mask in enumerate(self._digit_slices(n)[0]):
+            low |= (team & mask) >> (c * stride)
+        return low << (b * stride)
 
     def variant_team_all(self, team, n):
-        out = 0
-        for b in range(self.size):
-            out |= self.variant_team(team, n, b)
-        return out
+        """The union of the n-lines (the ~{n} classes) that team meets."""
+        return self.variant_team(team, n, 0) * self._digit_slices(n)[1]
 
     def variant_team_fn(self, n, blocks, values):
         out = 0

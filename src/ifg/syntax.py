@@ -250,10 +250,6 @@ class Formula:
     def __str__(self):
         return render(self.root)
 
-    @property
-    def depth(self):
-        return self.root.height
-
     def subformulas(self):
         """List of (position, node, polarity); polarity is True for even 0s."""
         out = []

@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import cache, reduce
+from operator import or_
 
 import pytest
 
@@ -265,7 +267,8 @@ def test_suit_kernels_match_team_loops(size, nvars):
             assert ctx.add(j, x, y).plus == ctx._sum_split(j, x.plus, y.plus)
         for n in range(nvars):
             for x in elems:
-                assert ctx.cyl(n, j, x).plus == ctx._exists_loop(n, j, x.plus)
+                assert (ctx.cyl(n, j, x).plus
+                        == ctx.downsets.exists_blocks(n, j, x.plus))
 
 
 def _brute_sum(space, jset, left, right):
@@ -276,13 +279,19 @@ def _brute_sum(space, jset, left, right):
 
 
 def _brute_cyl(space, n, jset, x):
+    """Variations valuation by valuation, through Space.variant_index."""
+    @cache
+    def vary(team, b):
+        return sum({1 << space.variant_index(i, n, b) for i in bits(team)})
+
     teams = range(1 << space.count)
     plus = sum(1 << team for team in teams
-               if any(x.plus >> space.variant_team_fn(n, blocks, values) & 1
+               if any(x.plus >> reduce(or_, map(vary, blocks, values), 0) & 1
                       for blocks, values
                       in space.independent_functions(team, jset)))
     minus = sum(1 << team for team in teams
-                if x.minus >> space.variant_team_all(team, n) & 1)
+                if x.minus >> reduce(or_, (vary(team, b)
+                                           for b in range(space.size)), 0) & 1)
     return Element(plus, minus)
 
 
@@ -314,8 +323,8 @@ def test_operations_match_brute_force(size, nvars):
         elems = [Element(p, m) for p in masks for m in masks]
     else:
         elems = _non_suit_pairs(ctx, random.Random(size * 10 + nvars), 4)
-    # At count 9 a sparse plus part makes both _exists_loop and the brute
-    # force walk up to 4**9 choice functions per cylinder, seconds each.
+    # At count 9 a sparse plus part makes the brute force walk up to 4**9
+    # choice functions per cylinder, seconds each; one such case is pinned.
     cyl_elems = elems if space.count < 9 else elems[::2]
     for j in ctx.jsets():
         for x, y in itertools.product(elems, repeat=2):
@@ -326,6 +335,11 @@ def test_operations_match_brute_force(size, nvars):
         for n in range(nvars):
             for x in cyl_elems:
                 assert ctx.cyl(n, j, x) == _brute_cyl(space, n, j, x)
+    if (size, nvars) == (3, 2):
+        x = Element(1 << 300, 1)
+        for n in range(nvars):
+            assert ctx.cyl(n, frozenset(), x) == _brute_cyl(
+                space, n, frozenset(), x)
 
 
 def test_absorption_flat_needs_rooted_operands():
@@ -395,3 +409,18 @@ def test_element_is_a_pair():
 def test_context_guard():
     with pytest.raises(GuardExceeded):
         AlgebraContext(5, 2)
+
+
+def test_cylinder_table_guard():
+    """C_{n,J} on a team set that is not a suit reads a table of
+    team-variant pairs, counted and refused above 2**MEANING_GUARD before
+    anything is built."""
+    ctx = AlgebraContext(4, 2)
+    x = Element(1 << 3 | 1 << 5 | 1 << 300, 1)
+    assert not ctx.downsets.is_downset(x.plus)
+    with pytest.raises(GuardExceeded, match="13845841 .*1048576"):
+        ctx.cyl(0, {1}, x)
+    assert not ctx.downsets._tables
+    wide = AlgebraContext(2, 4).downsets
+    pairs = [wide.table_pairs(n, frozenset({1, 2, 3})) for n in range(4)]
+    assert max(pairs) == 261121 <= 1 << algebra.MEANING_GUARD

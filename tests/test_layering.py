@@ -1,5 +1,6 @@
 """The module layering model -> downsets -> algebra -> trump, and games
-beside it on model alone; and no assert statement in the package.
+beside it on model alone; no assert statement in the package; and no loop
+over every team in the algebra and its kernels.
 
 Each module is imported in a fresh interpreter, which must not load any
 module above it in that order.  The game search must load none of
@@ -45,4 +46,19 @@ def test_no_assert_in_the_package():
              for path in sorted((SRC / "ifg").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert not found
+
+
+def test_no_team_by_team_loop_in_the_algebra():
+    """No loop over range(1 << ...) in algebra and downsets: walking every
+    team one at a time is left to the per-team oracle."""
+    found = ["%s:%d" % (name, node.lineno)
+             for name in ("algebra.py", "downsets.py")
+             for node in ast.walk(ast.parse((SRC / "ifg" / name).read_text()))
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.iter, ast.Call)
+             and getattr(node.iter.func, "id", None) == "range"
+             and any(isinstance(arg, ast.BinOp)
+                     and isinstance(arg.op, ast.LShift)
+                     for arg in node.iter.args)]
     assert not found
