@@ -524,24 +524,21 @@ def monadic_reduct(ctx, elements, validate=True):
 
 
 def _interval_filters(alg, c):
-    """Prime filters of the interval [c, top], each as a frozenset."""
+    """Prime filters of the interval [c, top], each as a frozenset.
+
+    In a finite distributive lattice they are the up-sets of the
+    join-irreducible elements j: those above c that are not the join of
+    the interval's elements strictly below them.
+    """
     interval = [x for x in range(alg.size) if alg.leq(c, x)]
     filters = []
-    for k in range(1, len(interval) + 1):
-        for combo in itertools.combinations(interval, k):
-            fset = frozenset(combo)
-            if len(fset) == len(interval):
-                continue  # proper filters only
-            if not all(alg.meet[x][y] in fset for x in fset for y in fset):
-                continue
-            if not all(y in fset for x in fset for y in interval
-                       if alg.leq(x, y)):
-                continue
-            if not all(x in fset or y in fset
-                       for x in interval for y in interval
-                       if alg.join[x][y] in fset):
-                continue
-            filters.append(fset)
+    for j in interval:
+        below = c
+        for x in interval:
+            if x != j and alg.leq(x, j):
+                below = alg.join[below][x]
+        if below != j:
+            filters.append(frozenset(x for x in interval if alg.leq(j, x)))
     return sorted(filters, key=lambda f: (len(f), sorted(f)))
 
 

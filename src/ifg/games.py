@@ -1,10 +1,18 @@
 """Extensive-form semantic games: strategies, winning-strategy search.
 
-A position is (subformula position, valuation index, verifier bit).  A
-strategy for a player maps information sets to moves, where an information
-set is a disjunction/quantifier position together with an equivalence class
-of valuations agreeing outside that node's slash set; keying moves by class
+A position is (subformula position, valuation index, verifier bit); the
+subformula positions are numbered by `syntax.children`.  A strategy for a
+player maps information sets to moves, where an information set is a
+disjunction/quantifier position together with an equivalence class of
+valuations agreeing outside that node's slash set; keying moves by class
 makes uniformity structural.
+
+The rules of the game are stated once, in `GameAnalyzer._moves`: the
+successors of a position, all of them or only a given strategy's move where
+its owner moves.  `play_out` follows it with both players' strategies,
+`verify_strategy` (the check on every claimed winning strategy) requires
+every successor play to be won, and `reachable_positions` walks it with no
+strategy.
 
 The search computes, per (subformula node, flag "the searched player is the
 verifier here"), the antichain of maximal sets W of valuations such that one
@@ -37,13 +45,13 @@ class Strategy:
     def __init__(self, owner):
         self.owner = owner
         self.moves = {}   # (pos, class id under the node's slash set) -> move
-        self.table = []   # (pos string, class repr string, move string)
+        self.table = []   # (pos, class repr string, move string)
 
     def add(self, space, pos, jset, cid, move):
         self.moves[(pos, cid)] = move
         masks, _ = space.classes(jset)
         rep = bits(masks[cid])[0] if masks[cid] else 0
-        self.table.append((pos_str(pos), space.class_repr(rep, jset), str(move)))
+        self.table.append((pos, space.class_repr(rep, jset), str(move)))
 
     def move_at(self, pos, cid):
         key = (pos, cid)
@@ -52,8 +60,8 @@ class Strategy:
         return self.moves[key]
 
     def render(self):
-        return "\n".join("pos=%s class=%s -> %s" % row
-                         for row in sorted(self.table))
+        rows = sorted((pos_str(pos), rep, move) for pos, rep, move in self.table)
+        return "\n".join("pos=%s class=%s -> %s" % row for row in rows)
 
 
 def pos_str(pos):
@@ -68,7 +76,6 @@ class GameAnalyzer:
         self.nvars = nvars
         self.space = Space(structure.size, nvars)
         self._ant = {}
-        self._compose = {}
 
     # -- antichains of maximal winning valuation sets -------------------------
 
@@ -86,36 +93,25 @@ class GameAnalyzer:
         if isinstance(node, syntax.Atomic):
             mask = atom_mask(self.structure, space, node.atom)
             w = mask if myturn else space.full_team & ~mask
-            return [(w, None)]
+            return [(w, ())]
         elif isinstance(node, syntax.Not):
             child = self.antichain(node.child, not myturn)
             return [(w, (ci,)) for ci, (w, _) in enumerate(child)]
         elif isinstance(node, syntax.Or):
             antl = self.antichain(node.left, myturn)
             antr = self.antichain(node.right, myturn)
-            wl = tuple(w for w, _ in antl)
-            wr = tuple(w for w, _ in antr)
+            wl = [w for w, _ in antl]
+            wr = [w for w, _ in antr]
             if myturn:
-                return self._cached(("or+", node.jset, wl, wr),
-                                    self._or_verifier, node.jset, wl, wr)
-            return self._cached(("or-", wl, wr), self._or_opponent, wl, wr)
+                return self._or_verifier(node.jset, wl, wr)
+            return self._or_opponent(wl, wr)
         elif isinstance(node, syntax.Exists):
-            antc = self.antichain(node.child, myturn)
-            wc = tuple(w for w, _ in antc)
+            wc = [w for w, _ in self.antichain(node.child, myturn)]
             if myturn:
-                return self._cached(("ex+", node.n, node.jset, wc),
-                                    self._exists_verifier, node.n, node.jset, wc)
-            return self._cached(("ex-", node.n, wc),
-                                self._exists_opponent, node.n, wc)
+                return self._exists_verifier(node.n, node.jset, wc)
+            return self._exists_opponent(node.n, wc)
         else:
             raise IfgError("not a formula node: %r" % (node,))
-
-    def _cached(self, key, fn, *args):
-        hit = self._compose.get(key)
-        if hit is None:
-            hit = fn(*args)
-            self._compose[key] = hit
-        return hit
 
     def _or_verifier(self, jset, wl, wr):
         masks, _ = self.space.classes(jset)
@@ -126,11 +122,11 @@ class GameAnalyzer:
                 for cls in masks:
                     a, b = cls & l, cls & r
                     if b & ~a == 0:
-                        per_class.append(((a, "L"),))
+                        per_class.append(((a, "left"),))
                     elif a & ~b == 0:
-                        per_class.append(((b, "R"),))
+                        per_class.append(((b, "right"),))
                     else:
-                        per_class.append(((a, "L"), (b, "R")))
+                        per_class.append(((a, "left"), (b, "right")))
                 groups.append([(w, (li, ri, moves)) for w, moves in
                                _uniform_picks(per_class, len(wl) * len(wr))])
         return _maximal(groups)
@@ -204,128 +200,95 @@ class GameAnalyzer:
         return False, None
 
     def _extract(self, node, pos, myturn, ant, idx, strategy):
-        prov = ant[idx][1]
-        if isinstance(node, syntax.Atomic):
-            return
-        elif isinstance(node, syntax.Not):
-            child = self.antichain(node.child, not myturn)
-            self._extract(node.child, pos + (0,), not myturn, child,
-                          prov[0], strategy)
-        elif isinstance(node, syntax.Or):
-            antl = self.antichain(node.left, myturn)
-            antr = self.antichain(node.right, myturn)
-            if myturn:
-                li, ri, choices = prov
-                for cid, choice in enumerate(choices):
-                    move = "left" if choice == "L" else "right"
-                    strategy.add(self.space, pos, node.jset, cid, move)
-            else:
-                li, ri = prov
-            self._extract(node.left, pos + (1,), myturn, antl, li, strategy)
-            self._extract(node.right, pos + (2,), myturn, antr, ri, strategy)
-        elif isinstance(node, syntax.Exists):
-            antc = self.antichain(node.child, myturn)
-            if myturn:
-                ci, values = prov
-                for cid, b in enumerate(values):
-                    strategy.add(self.space, pos, node.jset, cid, b)
-            else:
-                (ci,) = prov
-            self._extract(node.child, pos + (3,), myturn, antc, ci, strategy)
+        """Add the moves of entry idx of ant and of the entries it was
+        composed from; its provenance lists one child entry per child, then
+        at the searched player's \\/ or E the move on each ~J class."""
+        picks = ant[idx][1]
+        if isinstance(node, syntax.Not):
+            myturn = not myturn
+        elif myturn and not isinstance(node, syntax.Atomic):
+            *picks, moves = picks
+            for cid, move in enumerate(moves):
+                strategy.add(self.space, pos, node.jset, cid, move)
+        for (step, child), ci in zip(syntax.children(node), picks):
+            self._extract(child, pos + (step,), myturn,
+                          self.antichain(child, myturn), ci, strategy)
 
     # -- plays -------------------------------------------------------------------
+
+    def _moves(self, node, pos, val, eps, strategy=None):
+        """The successors (node, pos, val, eps) of a game position.
+
+        eps is the verifier bit: player eps verifies here.  Where the
+        strategy's owner moves, at a \\/ or E, the successor is the
+        strategy's move; everywhere else every move is a successor.  An
+        atom has none.
+        """
+        kids = syntax.children(node)
+        if isinstance(node, syntax.Not):
+            return [(child, pos + (step,), val, 1 - eps) for step, child in kids]
+        if isinstance(node, syntax.Atomic):
+            return []
+        move = None
+        if strategy is not None and strategy.owner == eps:
+            _, class_of = self.space.classes(node.jset)
+            move = strategy.move_at(pos, class_of[val])
+        if isinstance(node, syntax.Or):
+            if move is not None:
+                kids = [kids[0] if move == "left" else kids[1]]
+            return [(child, pos + (step,), val, eps) for step, child in kids]
+        values = range(self.space.size) if move is None else (move,)
+        return [(child, pos + (step,),
+                 self.space.variant_index(val, node.n, b), eps)
+                for step, child in kids for b in values]
+
+    def _winner(self, node, val, eps):
+        """The winner at an atom: the verifier eps iff the atom holds."""
+        truth = eval_atomic(self.structure, node.atom, self.space.decode(val))
+        return eps if truth else 1 - eps
 
     def play_out(self, formula, strategies, start):
         """Play both strategies from a start valuation; return (play, winner).
 
-        strategies maps player number to Strategy; a player without an entry
-        must never be asked to move.
+        strategies maps player number to that player's Strategy; a player
+        without an entry must never be asked to move.
         """
-        node = syntax.checked_root(formula, self.nvars)
-        space = self.space
-        pos, val, eps = (), start, 1
-        play = [(pos, val, eps)]
-        while True:
-            if isinstance(node, syntax.Atomic):
-                truth = eval_atomic(self.structure, node.atom, space.decode(val))
-                winner = eps if truth else 1 - eps
-                return play, winner
-            elif isinstance(node, syntax.Not):
-                node, pos, eps = node.child, pos + (0,), 1 - eps
-            elif isinstance(node, syntax.Or):
-                mover = strategies.get(eps)
-                if mover is None:
+        here = (syntax.checked_root(formula, self.nvars), (), start, 1)
+        play = [here[1:]]
+        while not isinstance(here[0], syntax.Atomic):
+            node, _, _, eps = here
+            strategy = None
+            if not isinstance(node, syntax.Not):
+                strategy = strategies.get(eps)
+                if strategy is None or strategy.owner != eps:
                     raise IfgError("no strategy for player %d" % eps)
-                _, class_of = space.classes(node.jset)
-                move = mover.move_at(pos, class_of[val])
-                if move == "left":
-                    node, pos = node.left, pos + (1,)
-                else:
-                    node, pos = node.right, pos + (2,)
-            elif isinstance(node, syntax.Exists):
-                mover = strategies.get(eps)
-                if mover is None:
-                    raise IfgError("no strategy for player %d" % eps)
-                _, class_of = space.classes(node.jset)
-                move = mover.move_at(pos, class_of[val])
-                val = space.variant_index(val, node.n, move)
-                node, pos = node.child, pos + (3,)
-            play.append((pos, val, eps))
+            (here,) = self._moves(*here, strategy)
+            play.append(here[1:])
+        node, _, val, eps = here
+        return play, self._winner(node, val, eps)
 
     def verify_strategy(self, formula, team, strategy):
         """True iff the strategy wins every play from every start in team."""
         node = syntax.checked_root(formula, self.nvars)
-        space = self.space
-        owner = strategy.owner
 
         def wins(node, pos, val, eps):
             if isinstance(node, syntax.Atomic):
-                truth = eval_atomic(self.structure, node.atom, space.decode(val))
-                return truth == (eps == owner)
-            elif isinstance(node, syntax.Not):
-                return wins(node.child, pos + (0,), val, 1 - eps)
-            elif isinstance(node, syntax.Or):
-                if eps == owner:
-                    _, class_of = space.classes(node.jset)
-                    move = strategy.move_at(pos, class_of[val])
-                    if move == "left":
-                        return wins(node.left, pos + (1,), val, eps)
-                    return wins(node.right, pos + (2,), val, eps)
-                return (wins(node.left, pos + (1,), val, eps)
-                        and wins(node.right, pos + (2,), val, eps))
-            elif isinstance(node, syntax.Exists):
-                if eps == owner:
-                    _, class_of = space.classes(node.jset)
-                    b = strategy.move_at(pos, class_of[val])
-                    return wins(node.child, pos + (3,),
-                                space.variant_index(val, node.n, b), eps)
-                return all(wins(node.child, pos + (3,),
-                                space.variant_index(val, node.n, b), eps)
-                           for b in range(space.size))
-            else:
-                raise IfgError("not a formula node: %r" % (node,))
+                return self._winner(node, val, eps) == strategy.owner
+            return all(wins(*succ)
+                       for succ in self._moves(node, pos, val, eps, strategy))
 
         return all(wins(node, (), val, 1) for val in bits(team))
 
     def reachable_positions(self, formula, team):
         """All positions occurring in some play of the game from team."""
         node = syntax.checked_root(formula, self.nvars)
-        space = self.space
         seen = set()
 
         def walk(node, pos, val, eps):
-            if (pos, val, eps) in seen:
-                return
-            seen.add((pos, val, eps))
-            if isinstance(node, syntax.Not):
-                walk(node.child, pos + (0,), val, 1 - eps)
-            elif isinstance(node, syntax.Or):
-                walk(node.left, pos + (1,), val, eps)
-                walk(node.right, pos + (2,), val, eps)
-            elif isinstance(node, syntax.Exists):
-                for b in range(space.size):
-                    walk(node.child, pos + (3,),
-                         space.variant_index(val, node.n, b), eps)
+            if (pos, val, eps) not in seen:
+                seen.add((pos, val, eps))
+                for succ in self._moves(node, pos, val, eps):
+                    walk(*succ)
 
         for val in bits(team):
             walk(node, (), val, 1)
@@ -373,13 +336,8 @@ def dualize(strategy):
     dual = Strategy(1 - strategy.owner)
     dual.moves = {((0,) + pos, cid): move
                   for (pos, cid), move in strategy.moves.items()}
-    dual.table = [(pos_str((0,) + _pos_digits(p)), rep, move)
-                  for p, rep, move in strategy.table]
+    dual.table = [((0,) + pos, rep, move) for pos, rep, move in strategy.table]
     return dual
-
-
-def _pos_digits(text):
-    return () if text == "-" else tuple(int(c) for c in text)
 
 
 def has_winning_strategy(structure, formula, team, player):

@@ -9,8 +9,10 @@ so "01" means v0=0, v1=1.
 
 from itertools import compress, product
 
-from .errors import IfgError, ParseError
+from .errors import IfgError, ParseError, GuardExceeded
 from . import syntax
+
+SPACE_LIMIT = 1 << 18  # most valuations of a Space: masks grow bit by bit
 
 
 class Structure:
@@ -156,6 +158,9 @@ class Space:
         self.size = size
         self.nvars = nvars
         self.count = size ** nvars
+        if self.count > SPACE_LIMIT:
+            raise GuardExceeded("%d valuations exceed the limit of %d"
+                                % (self.count, SPACE_LIMIT))
         self.full_team = (1 << self.count) - 1
         self._classes = {}
         self._slices = {}    # n -> (digit slice for each value b, repeat)

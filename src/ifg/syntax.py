@@ -199,6 +199,22 @@ def forall(n, jset, child):
     return negate(exists(n, jset, negate(child)))
 
 
+def children(node):
+    """The (step, child) pairs of a node, in order.
+
+    A subformula position is the tuple of steps from the root: 0 under ~,
+    1 and 2 to the left and right of \\/, 3 under E.  This is the one
+    place that numbers them.
+    """
+    if isinstance(node, Not):
+        return ((0, node.child),)
+    elif isinstance(node, Or):
+        return ((1, node.left), (2, node.right))
+    elif isinstance(node, Exists):
+        return ((3, node.child),)
+    return ()
+
+
 def render(node):
     """Formula text; parse(render(node), nvars) recovers the same node."""
     if isinstance(node, Atomic):
@@ -256,13 +272,8 @@ class Formula:
 
         def walk(node, pos, zeros):
             out.append((pos, node, zeros % 2 == 0))
-            if isinstance(node, Not):
-                walk(node.child, pos + (0,), zeros + 1)
-            elif isinstance(node, Or):
-                walk(node.left, pos + (1,), zeros)
-                walk(node.right, pos + (2,), zeros)
-            elif isinstance(node, Exists):
-                walk(node.child, pos + (3,), zeros)
+            for step, child in children(node):
+                walk(child, pos + (step,), zeros + (step == 0))
 
         walk(self.root, (), 0)
         return out
@@ -270,13 +281,8 @@ class Formula:
     def node_at(self, pos):
         node = self.root
         for step in pos:
-            if isinstance(node, Not) and step == 0:
-                node = node.child
-            elif isinstance(node, Or) and step in (1, 2):
-                node = node.left if step == 1 else node.right
-            elif isinstance(node, Exists) and step == 3:
-                node = node.child
-            else:
+            node = dict(children(node)).get(step)
+            if node is None:
                 raise IfgError("invalid position %r" % (pos,))
         return node
 
@@ -286,13 +292,10 @@ class Formula:
 
         def walk(node, pos, j):
             out[pos] = j
-            if isinstance(node, Not):
-                walk(node.child, pos + (0,), j)
-            elif isinstance(node, Or):
-                walk(node.left, pos + (1,), j)
-                walk(node.right, pos + (2,), j)
-            elif isinstance(node, Exists):
-                walk(node.child, pos + (3,), j | {node.n})
+            if isinstance(node, Exists):
+                j = j | {node.n}
+            for step, child in children(node):
+                walk(child, pos + (step,), j)
 
         walk(self.root, (), frozenset())
         return out

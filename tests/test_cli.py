@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ifg import cli, finlat, games, syntax
@@ -195,3 +197,17 @@ def test_truth_search_guard_exits_two(tmp_path, capsys):
     code, out = run(capsys, ["truth", "-s", str(path), "-f",
                              "A v0/{} E v1/{0} (v0=v1)", "-n", "3"])
     assert code == 2 and "strategy search space too large" in out.err
+
+
+def test_large_valuation_counts_exit_two(eq2, capsys):
+    """Spaces above SPACE_LIMIT valuations are refused before any mask of
+    the space is built: 2**26 in truth, 2**40 in eval."""
+    for argv in (["truth", "-s", eq2, "-f", "A v0/{} (v0=v0)", "-n", "26"],
+                 ["eval", "-s", eq2, "-f", "A v0/{} (v0=v0)", "-n", "40",
+                  "--team", ""]):
+        start = time.perf_counter()
+        code, out = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out.out == ""
+        assert out.err.startswith("error: ") and "exceed the limit" in out.err
+        assert "Traceback" not in out.err

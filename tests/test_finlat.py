@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ifg import finlat, algebra
@@ -308,3 +310,44 @@ def test_search_embeddable_small():
     algs = finlat.search_embeddable(3, 5)
     assert [a.size for a in algs] == [3]
     assert algs[0].nabla == named_algebra("K_nabla1").nabla
+
+
+def _enumerated_filters(alg, c):
+    """Brute-force reference: every proper prime filter of [c, top], found
+    by testing each subset of the interval."""
+    interval = [x for x in range(alg.size) if alg.leq(c, x)]
+    filters = []
+    for k in range(1, len(interval) + 1):
+        for combo in itertools.combinations(interval, k):
+            fset = frozenset(combo)
+            if len(fset) == len(interval):
+                continue  # proper filters only
+            if not all(alg.meet[x][y] in fset for x in fset for y in fset):
+                continue
+            if not all(y in fset for x in fset for y in interval
+                       if alg.leq(x, y)):
+                continue
+            if not all(x in fset or y in fset
+                       for x in interval for y in interval
+                       if alg.join[x][y] in fset):
+                continue
+            filters.append(fset)
+    return sorted(filters, key=lambda f: (len(f), sorted(f)))
+
+
+def test_interval_filters_match_enumeration():
+    """Prime filters from join-irreducibles agree with the subset search on
+    every interval of the downset lattices with at most 8 elements."""
+    lattices = intervals = 0
+    for points in range(6):
+        for leq in finlat._posets(points):
+            n, join, meet, _ = finlat._downset_lattice(points, leq)
+            if n > 8:
+                continue
+            alg = FinAlgebra(n, 0, n - 1, join, meet, validate=False)
+            lattices += 1
+            for c in range(n):
+                intervals += 1
+                assert (finlat._interval_filters(alg, c)
+                        == _enumerated_filters(alg, c))
+    assert (lattices, intervals) == (996, 7209)

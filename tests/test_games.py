@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import classical
 from ifg import syntax, trump, games
 from ifg.errors import IfgError
-from ifg.model import Structure, Space, bits
+from ifg.model import Structure, Space, bits, eval_atomic
 
 from test_acceptance import REL2, depth_three_nodes
 from test_syntax import ATOMS, nodes, signature
@@ -175,6 +175,8 @@ def test_play_out_requires_a_strategy_for_the_mover():
     f = syntax.parse("E v1/{} (v0=v1)", 2)
     with pytest.raises(IfgError):
         ga.play_out(f, {}, 0)
+    with pytest.raises(IfgError, match="no strategy for player 1"):
+        ga.play_out(f, {1: games.Strategy(0)}, 0)
 
 
 def test_undefined_strategy_position_raises():
@@ -223,6 +225,190 @@ def test_every_entry_checks_the_variable_count():
             entry(wide)
         with pytest.raises(IfgError, match="index 1 out of range"):
             entry(wide.root)
+
+
+# -- the move function against the walkers it replaced ---------------------------
+
+
+def _ref_play_out(ga, formula, strategies, start):
+    node = syntax.checked_root(formula, ga.nvars)
+    space = ga.space
+    pos, val, eps = (), start, 1
+    play = [(pos, val, eps)]
+    while True:
+        if isinstance(node, syntax.Atomic):
+            truth = eval_atomic(ga.structure, node.atom, space.decode(val))
+            return play, (eps if truth else 1 - eps)
+        elif isinstance(node, syntax.Not):
+            node, pos, eps = node.child, pos + (0,), 1 - eps
+        elif isinstance(node, syntax.Or):
+            mover = strategies.get(eps)
+            if mover is None:
+                raise IfgError("no strategy for player %d" % eps)
+            _, class_of = space.classes(node.jset)
+            if mover.move_at(pos, class_of[val]) == "left":
+                node, pos = node.left, pos + (1,)
+            else:
+                node, pos = node.right, pos + (2,)
+        elif isinstance(node, syntax.Exists):
+            mover = strategies.get(eps)
+            if mover is None:
+                raise IfgError("no strategy for player %d" % eps)
+            _, class_of = space.classes(node.jset)
+            move = mover.move_at(pos, class_of[val])
+            val = space.variant_index(val, node.n, move)
+            node, pos = node.child, pos + (3,)
+        play.append((pos, val, eps))
+
+
+def _ref_verify_strategy(ga, formula, team, strategy):
+    node = syntax.checked_root(formula, ga.nvars)
+    space = ga.space
+    owner = strategy.owner
+
+    def wins(node, pos, val, eps):
+        if isinstance(node, syntax.Atomic):
+            truth = eval_atomic(ga.structure, node.atom, space.decode(val))
+            return truth == (eps == owner)
+        elif isinstance(node, syntax.Not):
+            return wins(node.child, pos + (0,), val, 1 - eps)
+        elif isinstance(node, syntax.Or):
+            if eps == owner:
+                _, class_of = space.classes(node.jset)
+                if strategy.move_at(pos, class_of[val]) == "left":
+                    return wins(node.left, pos + (1,), val, eps)
+                return wins(node.right, pos + (2,), val, eps)
+            return (wins(node.left, pos + (1,), val, eps)
+                    and wins(node.right, pos + (2,), val, eps))
+        else:
+            if eps == owner:
+                _, class_of = space.classes(node.jset)
+                b = strategy.move_at(pos, class_of[val])
+                return wins(node.child, pos + (3,),
+                            space.variant_index(val, node.n, b), eps)
+            return all(wins(node.child, pos + (3,),
+                            space.variant_index(val, node.n, b), eps)
+                       for b in range(space.size))
+
+    return all(wins(node, (), val, 1) for val in bits(team))
+
+
+def _ref_reachable_positions(ga, formula, team):
+    node = syntax.checked_root(formula, ga.nvars)
+    seen = set()
+
+    def walk(node, pos, val, eps):
+        if (pos, val, eps) in seen:
+            return
+        seen.add((pos, val, eps))
+        if isinstance(node, syntax.Not):
+            walk(node.child, pos + (0,), val, 1 - eps)
+        elif isinstance(node, syntax.Or):
+            walk(node.left, pos + (1,), val, eps)
+            walk(node.right, pos + (2,), val, eps)
+        elif isinstance(node, syntax.Exists):
+            for b in range(ga.space.size):
+                walk(node.child, pos + (3,),
+                     ga.space.variant_index(val, node.n, b), eps)
+
+    for val in bits(team):
+        walk(node, (), val, 1)
+    return seen
+
+
+ATOMS2 = [syntax.Eq(syntax.Var(i), syntax.Var(j))
+          for i in range(2) for j in range(2)]
+ATOMS2 += [syntax.Rel("R", (syntax.Var(0),)),
+           syntax.Rel("S", (syntax.Var(0), syntax.Var(1)))]
+
+
+def _random_node(rng, depth):
+    """A random formula node over v0, v1 of height at most depth."""
+    if depth == 1 or rng.random() < 0.2:
+        return syntax.atomic(rng.choice(ATOMS2))
+    jset = frozenset(i for i in range(2) if rng.random() < 0.4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return syntax.negate(_random_node(rng, depth - 1))
+    if kind == 1:
+        return syntax.disj(jset, _random_node(rng, depth - 1),
+                           _random_node(rng, depth - 1))
+    return syntax.exists(rng.randrange(2), jset, _random_node(rng, depth - 1))
+
+
+def _random_strategy(ga, formula, owner, rng):
+    """Random moves on every class of every \\/ and E position."""
+    strategy = games.Strategy(owner)
+    for pos, node, _ in formula.subformulas():
+        if isinstance(node, (syntax.Or, syntax.Exists)):
+            masks, _ = ga.space.classes(node.jset)
+            for cid in range(len(masks)):
+                move = (rng.choice(("left", "right"))
+                        if isinstance(node, syntax.Or)
+                        else rng.randrange(ga.space.size))
+                strategy.add(ga.space, pos, node.jset, cid, move)
+    return strategy
+
+
+def _flipped(ga, strategy, rng):
+    """The strategy with its move on one (position, class) changed."""
+    flipped = games.Strategy(strategy.owner)
+    flipped.moves = dict(strategy.moves)
+    key = rng.choice(sorted(flipped.moves))
+    move = flipped.moves[key]
+    flipped.moves[key] = ({"left": "right", "right": "left"}[move]
+                          if move in ("left", "right")
+                          else (move + 1) % ga.space.size)
+    return flipped
+
+
+def _redualized(rendered):
+    """The old text round trip: each rendered position one step under ~."""
+    return "\n".join(line.replace("pos=-", "pos=0", 1)
+                     if line.startswith("pos=-")
+                     else line.replace("pos=", "pos=0", 1)
+                     for line in rendered.splitlines())
+
+
+def test_moves_match_the_reference_walkers():
+    rng = random.Random(10)
+    verdicts = set()
+    for size, nvars, rounds in ((2, 2, 300), (3, 2, 150)):
+        ga = games.GameAnalyzer(signature(size), nvars)
+        for _ in range(rounds):
+            f = syntax.Formula(_random_node(rng, 4), nvars)
+            neg = syntax.Formula(syntax.negate(f.root), nvars)
+            team = rng.getrandbits(ga.space.count)
+            assert (ga.reachable_positions(f, team)
+                    == _ref_reachable_positions(ga, f, team))
+            rivals = {p: _random_strategy(ga, f, p, rng) for p in (0, 1)}
+            for player in (0, 1):
+                won, found = ga.has_winning_strategy(f, team, player)
+                checked = [rivals[player]]
+                if won and found.moves:
+                    checked += [found, _flipped(ga, found, rng)]
+                    dual = games.dualize(found)
+                    assert ga.verify_strategy(neg, team, dual)
+                    assert _ref_verify_strategy(ga, neg, team, dual)
+                    assert dual.render() == _redualized(found.render())
+                for strategy in checked:
+                    got = ga.verify_strategy(f, team, strategy)
+                    assert got == _ref_verify_strategy(ga, f, team, strategy)
+                    verdicts.add(got)
+                    both = {**rivals, player: strategy}
+                    for start in bits(team):
+                        assert (ga.play_out(f, both, start)
+                                == _ref_play_out(ga, f, both, start))
+    assert verdicts == {True, False}
+
+
+def test_play_out_at_one_element_asks_the_mover():
+    """At K=1 an E has one move, but its mover still needs a strategy."""
+    ga = games.GameAnalyzer(Structure(1), 2)
+    for text, player in (("E v1/{} (v0=v1)", 1), ("A v1/{} (v0=v1)", 0)):
+        with pytest.raises(IfgError, match="no strategy for player %d"
+                           % player):
+            ga.play_out(syntax.parse(text, 2), {}, 0)
 
 
 # -- truth values --------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from ifg import syntax
 from ifg.downsets import Downsets
-from ifg.errors import IfgError, ParseError
-from ifg.model import Structure, Space, eval_term, eval_atomic, bits
+from ifg.errors import IfgError, ParseError, GuardExceeded
+from ifg.model import (Structure, Space, SPACE_LIMIT, eval_term, eval_atomic,
+                       bits)
 
 SP = Space(2, 2)
 JSETS = [frozenset(s) for s in ({}, {0}, {1}, {0, 1})]
@@ -100,6 +101,13 @@ def test_variant_index():
 def test_empty_base():
     sp = Space(0, 2)
     assert sp.count == 0 and sp.full_team == 0
+
+
+def test_space_limit():
+    assert Space(2, 18).count == SPACE_LIMIT
+    with pytest.raises(GuardExceeded, match="524288 valuations exceed "
+                                            "the limit of 262144"):
+        Space(2, 19)
 
 
 # -- agreement classes -----------------------------------------------------------
