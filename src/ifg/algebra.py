@@ -6,10 +6,11 @@ coordinates, slashed sum builds saturated covers, slashed product is the De
 Morgan dual, and cylindrification existentially projects one variable.
 They are the one implementation of the connectives on team sets: a
 formula's meaning (`trump.Evaluator.element`) is its fold into them.
-Sum and the plus part of cylindrification run the `downsets` kernels on
-downward-closed team sets (suits).  Elsewhere sum splits the ~J classes
-between its operands, and cylindrification takes a preimage one block of
-valuations at a time, as its minus part does on every team set.  A
+An operation only pairs coordinates, read off De Morgan: +_J is
+(sum(J, x+, y+), x- & y-) and *_J is (x+ & y+, sum(J, x-, y-));
+C_{n,J} is (exists(n, J, x+), exists_minus(n, x-)) and its dual is
+(exists_minus(n, x+), exists(n, J, x-)).  `Downsets` owns those three
+team-set operators, their one memo each and the choice of kernel.  A
 context keeps team sets over all 2**count teams, so it refuses spaces of
 more than MEANING_GUARD valuations.
 
@@ -53,8 +54,6 @@ class AlgebraContext:
         self.full_j = frozenset(range(nvars))
         self.downsets = Downsets(self.space)
         self._diag = {}
-        self._cyl = {}
-        self._add = {}
 
     def diag(self, i, j):
         """The diagonal element: meaning of the atom vi = vj."""
@@ -75,61 +74,22 @@ class AlgebraContext:
         return Element(x.minus, x.plus)
 
     def add(self, jset, x, y):
-        jset = frozenset(jset)
-        key = (jset, x, y)
-        hit = self._add.get(key)
-        if hit is not None:
-            return hit
-        downsets = self.downsets
-        if downsets.is_downset(x.plus) and downsets.is_downset(y.plus):
-            plus = downsets.or_plus(jset, x.plus, y.plus)
-        else:
-            plus = self._sum_split(jset, x.plus, y.plus)
-        result = Element(plus, x.minus & y.minus)
-        self._add[key] = result
-        return result
-
-    def _sum_split(self, jset, left, right):
-        """The plus part of x +_J y by splits of the ~J classes; any team sets.
-
-        Each class goes to the teams of one operand, and the other operand
-        keeps only its teams that miss the class; a class that one operand
-        never meets needs no split.  Once every class is placed, the two
-        operands use disjoint valuations, so their product is the sum.
-        """
-        outside = self.downsets.outside(jset)
-        last = len(outside)
-
-        def split(i, left, right):
-            while i < last and left and right:
-                lmiss, rmiss = left & outside[i], right & outside[i]
-                i += 1
-                if lmiss != left and rmiss != right:
-                    return split(i, left, rmiss) | split(i, lmiss, right)
-            return left * right
-
-        return split(0, left, right)
+        return Element(self.downsets.sum(frozenset(jset), x.plus, y.plus),
+                       x.minus & y.minus)
 
     def mul(self, jset, x, y):
-        return self.neg(self.add(jset, self.neg(x), self.neg(y)))
+        return Element(x.plus & y.plus,
+                       self.downsets.sum(frozenset(jset), x.minus, y.minus))
 
     def cyl(self, n, jset, x):
-        jset = frozenset(jset)
-        key = (n, jset, x)
-        hit = self._cyl.get(key)
-        if hit is not None:
-            return hit
         downsets = self.downsets
-        if downsets.is_downset(x.plus):
-            plus = downsets.exists_plus(n, jset, x.plus)
-        else:
-            plus = downsets.exists_blocks(n, jset, x.plus)
-        result = Element(plus, downsets.exists_minus(n, x.minus))
-        self._cyl[key] = result
-        return result
+        return Element(downsets.exists(n, frozenset(jset), x.plus),
+                       downsets.exists_minus(n, x.minus))
 
     def dual_cyl(self, n, jset, x):
-        return self.neg(self.cyl(n, jset, self.neg(x)))
+        downsets = self.downsets
+        return Element(downsets.exists_minus(n, x.plus),
+                       downsets.exists(n, frozenset(jset), x.minus))
 
     def cyl_chain(self, x, jsets):
         """C_{0,J_0}(C_{1,J_1}(... C_{N-1,J_{N-1}}(x)...))."""

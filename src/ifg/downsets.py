@@ -1,14 +1,18 @@
-"""Whole-mask kernels on team sets.
+"""Team-set operators and their whole-mask kernels.
 
 A team is an int bitmask over valuation indices, and a team set is an int
-bitmask over team indices: bit t says whether team t belongs to it.  A
-downward-closed team set is fixed by its maximal teams, so or_plus and
-exists_plus walk that antichain and handle each maximal team with
-O(count) big-int operations on whole masks, instead of visiting the
-2**count teams one at a time.  exists_minus and exists_blocks take any
-team set: each takes the preimage of its clause one block of valuations
-at a time, a block being a set that the clause maps into itself.  Three
-facts carry them:
+bitmask over team indices: bit t says whether team t belongs to it.  The
+algebra's operations are pairs of three operators on team sets, each
+memoised once by its int arguments: sum (the ∨⁺_J clause), exists (∃⁺)
+and exists_minus (∃⁻, which does not depend on J).  sum and exists choose
+the kernel.  A downward-closed team set is fixed by its maximal teams, so
+or_plus and exists_plus walk that antichain and handle each maximal team
+with O(count) big-int operations on whole masks, instead of visiting the
+2**count teams one at a time.  On other team sets sum_split places each
+~J class with one operand.  exists_minus and exists_blocks take any team
+set: each takes the preimage of its clause one block of valuations at a
+time, a block being a set that the clause maps into itself.  Three facts
+carry them:
 
 - Adding valuation i to a team that lacks it adds 2**i to the team's index.
   So (F & HI[i]) >> 2**i, where HI[i] holds the teams that contain i, is
@@ -44,11 +48,11 @@ def _hi_mask(i, nbits):
 
 
 class Downsets:
-    """The kernels over the team sets of one valuation space.
+    """The operators and kernels over the team sets of one valuation space.
 
     The operands of maximal, or_plus and exists_plus must be downward
-    closed (the empty team set counts as one); is_downset tells.
-    exists_minus and exists_blocks take any team set.
+    closed (the empty team set counts as one); is_downset tells.  The
+    other operators and kernels take any team set.
     """
 
     def __init__(self, space):
@@ -61,6 +65,10 @@ class Downsets:
         self._parts = {}     # (J, team set) -> class-wise powersets
         self._outside = {}   # J -> the teams that miss each ~J class
         self._tables = {}    # (n, J) -> exists_blocks tables
+        # one memo per operator, keyed by team-set ints
+        self._sum = {}       # (J, left, right) -> sum
+        self._exists = {}    # (n, J, team set) -> exists
+        self._minus = {}     # (n, team set) -> exists_minus, for every J
 
     def _hi_masks(self):
         if self._hi is None:
@@ -107,6 +115,35 @@ class Downsets:
 
     # -- the operators -----------------------------------------------------------
 
+    def sum(self, jset, left, right):
+        """{a | b : a in left, b in right, no ~J class meets both a and b}.
+
+        The plus part of +_J and the minus part of *_J: or_plus when both
+        operands are downward closed, sum_split otherwise.
+        """
+        key = (jset, left, right)
+        out = self._sum.get(key)
+        if out is None:
+            if self.is_downset(left) and self.is_downset(right):
+                out = self.or_plus(jset, left, right)
+            else:
+                out = self.sum_split(jset, left, right)
+            self._sum[key] = out
+        return out
+
+    def exists(self, n, jset, child):
+        """The plus part of C_{n,J} and the minus part of its dual:
+        exists_plus when child is downward closed, exists_blocks otherwise."""
+        key = (n, jset, child)
+        out = self._exists.get(key)
+        if out is None:
+            if self.is_downset(child):
+                out = self.exists_plus(n, jset, child)
+            else:
+                out = self.exists_blocks(n, jset, child)
+            self._exists[key] = out
+        return out
+
     def or_plus(self, jset, left, right):
         """{a | b : a in left, b in right, no ~J class meets both a and b}."""
         rparts = self._class_parts(jset, right)
@@ -148,20 +185,48 @@ class Downsets:
                                          for c in self.space.classes(jset)[0]]
         return out
 
+    def sum_split(self, jset, left, right):
+        """sum on any team sets, by splits of the ~J classes.
+
+        Each class goes to the teams of one operand, and the other operand
+        keeps only its teams that miss the class; a class that one operand
+        never meets needs no split.  Once every class is placed, the two
+        operands use disjoint valuations, so their product is the sum.
+        """
+        outside = self.outside(jset)
+        last = len(outside)
+
+        def split(i, left, right):
+            while i < last and left and right:
+                lmiss, rmiss = left & outside[i], right & outside[i]
+                i += 1
+                if lmiss != left and rmiss != right:
+                    return split(i, left, rmiss) | split(i, lmiss, right)
+            return left * right
+
+        return split(0, left, right)
+
     def exists_minus(self, n, child):
         """Teams V whose variation over every value of variable n is in child.
 
-        Any team set, one n-line (a ~{n} class) at a time: a team keeps its
-        part outside the line and swaps the whole line for each nonempty
-        part of it.
+        The minus part of C_{n,J} and the plus part of its dual, the same
+        for every J.  Any team set, one n-line (a ~{n} class) at a time: a
+        team keeps its part outside the line and swaps the whole line for
+        each nonempty part of it.
         """
-        lines = frozenset((n,))
-        for line, out in zip(self.space.classes(lines)[0], self.outside(lines)):
-            keep, child, part = child >> line & out, child & out, line
-            while part:   # each nonempty part of the line
-                child |= keep << part
-                part = part - 1 & line
-        return child
+        key = (n, child)
+        out = self._minus.get(key)
+        if out is None:
+            lines = frozenset((n,))
+            out = child
+            for line, miss in zip(self.space.classes(lines)[0],
+                                  self.outside(lines)):
+                keep, out, part = out >> line & miss, out & miss, line
+                while part:   # each nonempty part of the line
+                    out |= keep << part
+                    part = part - 1 & line
+            self._minus[key] = out
+        return out
 
     def exists_blocks(self, n, jset, child):
         """exists_plus on any team set, one ~(J + {n}) class at a time.

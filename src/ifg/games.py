@@ -304,14 +304,32 @@ def _maximal(groups):
     class, the classes are disjoint, and the options of each class form an
     antichain.  So a single group is only sorted, and the subset tests run
     only across groups.
+
+    The subset tests read an inverted index: per valuation, the bitset of
+    the kept keys (by their place in the output) that hold it.  A key is
+    inside a kept one exactly when the AND of its valuations' bitsets is
+    not 0, and the AND stops as soon as it is.
     """
     candidates = {}
     for group in groups:
         for w, prov in group:
             candidates.setdefault(w, prov)
+    order = sorted(candidates, key=lambda x: (-x.bit_count(), x))
+    if len(groups) == 1:
+        return [(w, candidates[w]) for w in order]
     out = []
-    for w in sorted(candidates, key=lambda x: (-x.bit_count(), x)):
-        if len(groups) == 1 or not any(w & ~kept == 0 for kept, _ in out):
+    holders = {}   # valuation -> bitset of the kept keys that hold it
+    for w in order:
+        vals = bits(w)
+        inside = (1 << len(out)) - 1
+        for v in vals:
+            inside &= holders.get(v, 0)
+            if not inside:
+                break
+        if not inside:
+            bit = 1 << len(out)
+            for v in vals:
+                holders[v] = holders.get(v, 0) | bit
             out.append((w, candidates[w]))
     return out
 

@@ -45,14 +45,23 @@ def test_constant_values():
     assert CTX.diag(0, 0) == CTX.one
 
 
+def duality_pools():
+    """The suits of default_pool, then pairs that are not suits at (2,2)
+    and (3,1), each with its context."""
+    yield CTX, default_pool(CTX)
+    for size, nvars in ((2, 2), (3, 1)):
+        ctx = AlgebraContext(size, nvars)
+        yield ctx, _non_suit_pairs(ctx, random.Random(size * 10 + nvars), 6)
+
+
 def test_negation_involution_and_duality():
-    pool = default_pool(CTX)
-    for x in pool:
-        assert CTX.neg(CTX.neg(x)) == x
-    for j in CTX.jsets():
-        for x, y in itertools.product(pool, repeat=2):
-            assert CTX.mul(j, x, y) == CTX.neg(
-                CTX.add(j, CTX.neg(x), CTX.neg(y)))
+    for ctx, pool in duality_pools():
+        for x in pool:
+            assert ctx.neg(ctx.neg(x)) == x
+        for j in ctx.jsets():
+            for x, y in itertools.product(pool, repeat=2):
+                assert ctx.mul(j, x, y) == ctx.neg(
+                    ctx.add(j, ctx.neg(x), ctx.neg(y)))
 
 
 def test_order_basics():
@@ -197,12 +206,31 @@ def test_diagonal_cylindrification_value():
 
 
 def test_dual_cyl_is_de_morgan_dual():
-    pool = default_pool(CTX)
-    for n in range(2):
-        for j in CTX.jsets():
-            for x in pool:
-                assert CTX.dual_cyl(n, j, x) == CTX.neg(
-                    CTX.cyl(n, j, CTX.neg(x)))
+    for ctx, pool in duality_pools():
+        for n in range(ctx.nvars):
+            for j in ctx.jsets():
+                for x in pool:
+                    assert ctx.dual_cyl(n, j, x) == ctx.neg(
+                        ctx.cyl(n, j, ctx.neg(x)))
+
+
+def test_operator_memos_are_shared():
+    """*_J reads the +_J memo on the minus parts, and the minus part of
+    C_{n,J} is kept once per (n, team set) for every J."""
+    ctx = AlgebraContext(2, 2)
+    memos = ctx.downsets
+    x, y = _non_suit_pairs(ctx, random.Random(7), 2)
+    for j in ctx.jsets():
+        ctx.add(j, ctx.neg(x), ctx.neg(y))
+        sums = len(memos._sum)
+        ctx.mul(j, x, y)
+        assert len(memos._sum) == sums
+    for n in range(ctx.nvars):
+        minus = len(memos._minus)
+        for j in ctx.jsets():
+            ctx.cyl(n, j, x)
+        assert len(memos._minus) == minus + 1
+        assert memos._minus[n, x.minus] == ctx.cyl(n, frozenset(), x).minus
 
 
 def test_cyl_chain_order():
@@ -264,7 +292,8 @@ def test_suit_kernels_match_team_loops(size, nvars):
     assert all(algebra.is_double_suit(ctx, x) for x in elems)
     for j in ctx.jsets():
         for x, y in itertools.product(elems, repeat=2):
-            assert ctx.add(j, x, y).plus == ctx._sum_split(j, x.plus, y.plus)
+            assert ctx.add(j, x, y).plus == ctx.downsets.sum_split(
+                j, x.plus, y.plus)
         for n in range(nvars):
             for x in elems:
                 assert (ctx.cyl(n, j, x).plus

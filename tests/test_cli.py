@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -189,6 +190,25 @@ def test_game_at_count_27(k3, capsys):
     won, strategy = ga.has_winning_strategy(formula, space.full_team, 0)
     assert won and lines[1:] == strategy.render().splitlines()
     assert ga.verify_strategy(formula, space.full_team, strategy)
+
+
+def test_game_with_many_single_candidate_groups(k3, capsys):
+    """The \\/ verifier meets 3**9 uniform picks of E v1/{0} against one
+    right entry, each its own group: the reduction across them reads an
+    inverted index instead of testing every pair."""
+    text = "(E v1/{0} (v0=v1) \\/{} A v2/{1} ~(v0=v2))"
+    code, out = run(capsys, ["game", "-s", k3, "-f", text, "-n", "3",
+                             "--team", "000,111,222", "--player", "1"])
+    assert code == 0
+    classes = ["".join(d) for d in itertools.product("012", repeat=3)]
+    assert out.out.splitlines() == (
+        ["winning strategy for player 1"]
+        + ["pos=- class=%s -> left" % c for c in classes]
+        + ["pos=1 class=*00 -> 0", "pos=1 class=*01 -> 0",
+           "pos=1 class=*02 -> 0", "pos=1 class=*10 -> 0",
+           "pos=1 class=*11 -> 1", "pos=1 class=*12 -> 0",
+           "pos=1 class=*20 -> 0", "pos=1 class=*21 -> 0",
+           "pos=1 class=*22 -> 2"])
 
 
 def test_truth_search_guard_exits_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The module layering model -> downsets -> algebra -> trump, and games
-beside it on model alone; no assert statement in the package; and no loop
-over every team in the algebra and its kernels.
+beside it on model alone; no assert statement in the package; no loop
+over every team in the algebra and its kernels; and the choice of kernel
+left to downsets.
 
 Each module is imported in a fresh interpreter, which must not load any
 module above it in that order.  The game search must load none of
@@ -61,4 +62,18 @@ def test_no_team_by_team_loop_in_the_algebra():
              and any(isinstance(arg, ast.BinOp)
                      and isinstance(arg.op, ast.LShift)
                      for arg in node.iter.args)]
+    assert not found
+
+
+def test_kernel_choice_lives_in_downsets():
+    """algebra pairs the coordinates of Downsets.sum, exists and
+    exists_minus; which kernel runs on which team set is decided only in
+    downsets."""
+    kernels = {"or_plus", "exists_plus", "exists_blocks"}
+    tree = ast.parse((SRC / "ifg" / "algebra.py").read_text())
+    found = ["algebra.py:%d %s" % (node.lineno, name)
+             for node in ast.walk(tree)
+             for name in (getattr(node, "attr", None),
+                          getattr(node, "id", None))
+             if name in kernels]
     assert not found
