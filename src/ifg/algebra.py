@@ -16,7 +16,10 @@ more than MEANING_GUARD valuations.
 
 The law registry collects the equations and inequalities these algebras
 satisfy, each with its exact side conditions, plus a handful of classical
-laws that are expected to fail and do.
+laws that are expected to fail and do.  A law check reads the operations
+on its pool elements that its loops would repeat (x +_J y, x *_J y,
+C_{n,J}(x)) from tables built once per call and dropped with it.  The
+laws expected to fail stop at their first counterexample and build none.
 """
 
 import itertools
@@ -346,41 +349,66 @@ def _triples(pool):
     return itertools.product(pool, repeat=3)
 
 
+def _table(op, jsets, pool):
+    """op(J, pool[a], pool[b]) at [J][a][b], for every J of jsets."""
+    return {j: [[op(j, x, y) for y in pool] for x in pool] for j in jsets}
+
+
+def _cyl_table(op, n, jsets, pool):
+    """op(n, J, pool[a]) at [J][a], for every J of jsets."""
+    return {j: [op(n, j, x) for x in pool] for j in jsets}
+
+
+def _below(pool):
+    """The index pairs (a, b) with pool[a] <= pool[b], in _pairs order."""
+    return [(a, b) for a, b in _pairs(range(len(pool)))
+            if leq(pool[a], pool[b])]
+
+
 @_law("commutativity", True)
 def _commutativity(ctx, pool):
-    for j in ctx.jsets():
-        for x, y in _pairs(pool):
-            if ctx.add(j, x, y) != ctx.add(j, y, x):
+    jsets = ctx.jsets()
+    adds, muls = _table(ctx.add, jsets, pool), _table(ctx.mul, jsets, pool)
+    for j in jsets:
+        for a, b in _pairs(range(len(pool))):
+            if adds[j][a][b] != adds[j][b][a]:
                 return "sum J=%s" % sorted(j)
-            if ctx.mul(j, x, y) != ctx.mul(j, y, x):
+            if muls[j][a][b] != muls[j][b][a]:
                 return "product J=%s" % sorted(j)
     return None
 
 
 @_law("associativity-same-slash", True)
 def _associativity_same(ctx, pool):
-    for j in ctx.jsets():
-        for x, y, z in _triples(pool):
-            if ctx.add(j, ctx.add(j, x, y), z) != ctx.add(j, x, ctx.add(j, y, z)):
+    jsets = ctx.jsets()
+    adds, muls = _table(ctx.add, jsets, pool), _table(ctx.mul, jsets, pool)
+    for j in jsets:
+        add, mul = adds[j], muls[j]
+        for a, b, c in _triples(range(len(pool))):
+            x, z = pool[a], pool[c]
+            if ctx.add(j, add[a][b], z) != ctx.add(j, x, add[b][c]):
                 return "sum J=%s" % sorted(j)
-            if ctx.mul(j, ctx.mul(j, x, y), z) != ctx.mul(j, x, ctx.mul(j, y, z)):
+            if ctx.mul(j, mul[a][b], z) != ctx.mul(j, x, mul[b][c]):
                 return "product J=%s" % sorted(j)
     return None
 
 
 @_law("associativity-nested-slash", True)
 def _associativity_nested(ctx, pool):
-    for j in ctx.jsets():
-        for k in ctx.jsets():
+    jsets = ctx.jsets()
+    adds, muls = _table(ctx.add, jsets, pool), _table(ctx.mul, jsets, pool)
+    for j in jsets:
+        for k in jsets:
             if not j <= k:
                 continue
-            for x, y, z in _triples(pool):
-                left = ctx.add(k, ctx.add(j, x, y), z)
-                right = ctx.add(j, x, ctx.add(k, y, z))
+            for a, b, c in _triples(range(len(pool))):
+                x, z = pool[a], pool[c]
+                left = ctx.add(k, adds[j][a][b], z)
+                right = ctx.add(j, x, adds[k][b][c])
                 if not leq_plus(left, right) or left.minus != right.minus:
                     return "sum J=%s K=%s" % (sorted(j), sorted(k))
-                left = ctx.mul(k, ctx.mul(j, x, y), z)
-                right = ctx.mul(j, x, ctx.mul(k, y, z))
+                left = ctx.mul(k, muls[j][a][b], z)
+                right = ctx.mul(j, x, muls[k][b][c])
                 if left.plus != right.plus or not leq_minus(left, right):
                     return "product J=%s K=%s" % (sorted(j), sorted(k))
     return None
@@ -473,15 +501,18 @@ def _full_slash_union(ctx, pool):
 
 @_law("absorption-bounds", True)
 def _absorption_bounds(ctx, pool):
-    for j in ctx.jsets():
-        for k in ctx.jsets():
-            for x, y in _pairs(pool):
-                if not (is_rooted(x) and is_rooted(y)):
-                    continue
-                up = ctx.add(j, x, ctx.mul(k, x, y))
+    jsets = ctx.jsets()
+    rooted = [x for x in pool if is_rooted(x)]
+    adds = _table(ctx.add, jsets, rooted)
+    muls = _table(ctx.mul, jsets, rooted)
+    for j in jsets:
+        for k in jsets:
+            for a, b in _pairs(range(len(rooted))):
+                x = rooted[a]
+                up = ctx.add(j, x, muls[k][a][b])
                 if not leq_plus(x, up) or up.minus != x.minus:
                     return "x + (x * y), J=%s K=%s" % (sorted(j), sorted(k))
-                down = ctx.mul(j, x, ctx.add(k, x, y))
+                down = ctx.mul(j, x, adds[k][a][b])
                 if down.plus != x.plus or not leq_minus(x, down):
                     return "x * (x + y), J=%s K=%s" % (sorted(j), sorted(k))
     return None
@@ -556,15 +587,17 @@ def _rooted_bounds(ctx, pool):
 
 @_law("slash-antitone", True)
 def _slash_antitone(ctx, pool):
-    for j in ctx.jsets():
-        for k in ctx.jsets():
+    jsets = ctx.jsets()
+    adds, muls = _table(ctx.add, jsets, pool), _table(ctx.mul, jsets, pool)
+    for j in jsets:
+        for k in jsets:
             if not j <= k:
                 continue
-            for x, y in _pairs(pool):
-                if not leq(ctx.add(k, x, y), ctx.add(j, x, y)):
+            for a, b in _pairs(range(len(pool))):
+                if not leq(adds[k][a][b], adds[j][a][b]):
                     return "x +_K y > x +_J y, J=%s K=%s" % (sorted(j),
                                                              sorted(k))
-                if not leq(ctx.mul(j, x, y), ctx.mul(k, x, y)):
+                if not leq(muls[j][a][b], muls[k][a][b]):
                     return "x *_J y > x *_K y, J=%s K=%s" % (sorted(j),
                                                              sorted(k))
     return None
@@ -579,9 +612,9 @@ def _op_chain(ctx, pool):
             continue
         if ctx.mul(n, x, x) != x or ctx.add(n, x, x) != x:
             return "x *_N x != x or x +_N x != x"
+        low, high = ctx.mul(empty, x, x), ctx.add(empty, x, x)
         for j in ctx.jsets():
-            chain = [ctx.mul(empty, x, x), ctx.mul(j, x, x), x,
-                     ctx.add(j, x, x), ctx.add(empty, x, x)]
+            chain = [low, ctx.mul(j, x, x), x, ctx.add(j, x, x), high]
             for a, b in zip(chain, chain[1:]):
                 if not leq(a, b):
                     return "chain broken at J=%s" % sorted(j)
@@ -590,33 +623,38 @@ def _op_chain(ctx, pool):
 
 @_law("op-monotone", True)
 def _op_monotone(ctx, pool):
-    for j in ctx.jsets():
-        for x, x2 in _pairs(pool):
-            if not leq(x, x2):
-                continue
-            for y, y2 in _pairs(pool):
-                if not leq(y, y2):
-                    continue
-                if not leq(ctx.add(j, x, y), ctx.add(j, x2, y2)):
+    jsets = ctx.jsets()
+    below = _below(pool)
+    adds, muls = _table(ctx.add, jsets, pool), _table(ctx.mul, jsets, pool)
+    for j in jsets:
+        add, mul = adds[j], muls[j]
+        for a, a2 in below:
+            for b, b2 in below:
+                if not leq(add[a][b], add[a2][b2]):
                     return "sum not monotone, J=%s" % sorted(j)
-                if not leq(ctx.mul(j, x, y), ctx.mul(j, x2, y2)):
+                if not leq(mul[a][b], mul[a2][b2]):
                     return "product not monotone, J=%s" % sorted(j)
     return None
 
 
 @_law("distributive-inclusion", True)
 def _distributive_inclusion(ctx, pool):
-    for j in ctx.jsets():
-        for k in ctx.jsets():
-            for x, y, z in _triples(pool):
-                if not is_double_suit(ctx, x):
-                    continue
-                left = ctx.mul(j, x, ctx.add(k, y, z))
-                right = ctx.add(k, ctx.mul(j, x, y), ctx.mul(j, x, z))
+    suits = [a for a, x in enumerate(pool) if is_double_suit(ctx, x)]
+    if not suits:
+        return None
+    jsets = ctx.jsets()
+    adds, muls = _table(ctx.add, jsets, pool), _table(ctx.mul, jsets, pool)
+    rest = range(len(pool))
+    for j in jsets:
+        for k in jsets:
+            for a, b, c in itertools.product(suits, rest, rest):
+                x = pool[a]
+                left = ctx.mul(j, x, adds[k][b][c])
+                right = ctx.add(k, muls[j][a][b], muls[j][a][c])
                 if not leq_plus(left, right) or not leq_minus(left, right):
                     return "x * (y + z), J=%s K=%s" % (sorted(j), sorted(k))
-                left = ctx.add(j, x, ctx.mul(k, y, z))
-                right = ctx.mul(k, ctx.add(j, x, y), ctx.add(j, x, z))
+                left = ctx.add(j, x, muls[k][b][c])
+                right = ctx.mul(k, adds[j][a][b], adds[j][a][c])
                 if not leq_plus(left, right) or not leq_minus(left, right):
                     return "x + (y * z), J=%s K=%s" % (sorted(j), sorted(k))
     return None
@@ -625,21 +663,26 @@ def _distributive_inclusion(ctx, pool):
 @_law("distributive-full-slash", True)
 def _distributive_full_slash(ctx, pool):
     n = ctx.full_j
-    for j in ctx.jsets():
-        for x, y, z in _triples(pool):
-            if not (is_rooted(x) and is_rooted(y) and is_rooted(z)):
-                continue
-            if (ctx.mul(j, x, ctx.add(n, y, z)).plus
-                    != ctx.add(n, ctx.mul(j, x, y), ctx.mul(j, x, z)).plus):
+    jsets = ctx.jsets()
+    rooted = [x for x in pool if is_rooted(x)]
+    adds = _table(ctx.add, jsets, rooted)
+    muls = _table(ctx.mul, jsets, rooted)
+    add_n, mul_n = adds[n], muls[n]
+    for j in jsets:
+        add, mul = adds[j], muls[j]
+        for a, b, c in _triples(range(len(rooted))):
+            x = rooted[a]
+            if (ctx.mul(j, x, add_n[b][c]).plus
+                    != ctx.add(n, mul[a][b], mul[a][c]).plus):
                 return "plus of x *_J (y +_N z), J=%s" % sorted(j)
-            if (ctx.mul(n, x, ctx.add(j, y, z)).minus
-                    != ctx.add(j, ctx.mul(n, x, y), ctx.mul(n, x, z)).minus):
+            if (ctx.mul(n, x, add[b][c]).minus
+                    != ctx.add(j, mul_n[a][b], mul_n[a][c]).minus):
                 return "minus of x *_N (y +_K z), K=%s" % sorted(j)
-            if (ctx.add(n, x, ctx.mul(j, y, z)).plus
-                    != ctx.mul(j, ctx.add(n, x, y), ctx.add(n, x, z)).plus):
+            if (ctx.add(n, x, mul[b][c]).plus
+                    != ctx.mul(j, add_n[a][b], add_n[a][c]).plus):
                 return "plus of x +_N (y *_K z), K=%s" % sorted(j)
-            if (ctx.add(j, x, ctx.mul(n, y, z)).minus
-                    != ctx.mul(n, ctx.add(j, x, y), ctx.add(j, x, z)).minus):
+            if (ctx.add(j, x, mul_n[b][c]).minus
+                    != ctx.mul(n, add[a][b], add[a][c]).minus):
                 return "minus of x +_J (y *_N z), J=%s" % sorted(j)
     return None
 
@@ -674,13 +717,14 @@ def _demorgan(ctx, pool):
 
 @_law("kleene", True)
 def _kleene(ctx, pool):
-    for j in ctx.jsets():
-        for k in ctx.jsets():
-            for x, y in _pairs(pool):
-                if not (is_double_suit(ctx, x) and is_double_suit(ctx, y)):
-                    continue
-                if not leq(ctx.mul(j, x, ctx.neg(x)),
-                           ctx.add(k, y, ctx.neg(y))):
+    jsets = ctx.jsets()
+    suits = [x for x in pool if is_double_suit(ctx, x)]
+    meets = {j: [ctx.mul(j, x, ctx.neg(x)) for x in suits] for j in jsets}
+    joins = {k: [ctx.add(k, y, ctx.neg(y)) for y in suits] for k in jsets}
+    for j in jsets:
+        for k in jsets:
+            for a, b in _pairs(range(len(suits))):
+                if not leq(meets[j][a], joins[k][b]):
                     return "x * ~x > y + ~y, J=%s K=%s" % (sorted(j),
                                                            sorted(k))
     return None
@@ -795,29 +839,33 @@ def _cyl_meet(ctx, pool):
 
 @_law("cyl-slash-antitone", True)
 def _cyl_slash_antitone(ctx, pool):
+    jsets = ctx.jsets()
     for n in range(ctx.nvars):
-        for j in ctx.jsets():
-            for k in ctx.jsets():
+        cyls = _cyl_table(ctx.cyl, n, jsets, pool)
+        duals = _cyl_table(ctx.dual_cyl, n, jsets, pool)
+        for j in jsets:
+            for k in jsets:
                 if not j <= k:
                     continue
-                for x in pool:
-                    if not leq(ctx.cyl(n, k, x), ctx.cyl(n, j, x)):
+                for a in range(len(pool)):
+                    if not leq(cyls[k][a], cyls[j][a]):
                         return "C_K(x) > C_J(x)"
-                    if not leq(ctx.dual_cyl(n, j, x), ctx.dual_cyl(n, k, x)):
+                    if not leq(duals[j][a], duals[k][a]):
                         return "dual C_J(x) > dual C_K(x)"
     return None
 
 
 @_law("cyl-monotone", True)
 def _cyl_monotone(ctx, pool):
+    below = _below(pool)
     for n in range(ctx.nvars):
         for j in ctx.jsets():
-            for x, y in _pairs(pool):
-                if not leq(x, y):
-                    continue
-                if not leq(ctx.cyl(n, j, x), ctx.cyl(n, j, y)):
+            cyl = [ctx.cyl(n, j, x) for x in pool]
+            dual = [ctx.dual_cyl(n, j, x) for x in pool]
+            for a, b in below:
+                if not leq(cyl[a], cyl[b]):
                     return "C not monotone"
-                if not leq(ctx.dual_cyl(n, j, x), ctx.dual_cyl(n, j, y)):
+                if not leq(dual[a], dual[b]):
                     return "dual C not monotone"
     return None
 
@@ -825,14 +873,21 @@ def _cyl_monotone(ctx, pool):
 @_law("cyl-product", True)
 def _cyl_product(ctx, pool):
     jsets = ctx.jsets()
+    suits = [is_double_suit(ctx, x) for x in pool]
     for n in range(ctx.nvars):
+        cyls = _cyl_table(ctx.cyl, n, jsets, pool)
+        # x *_L C_{n,K}(y) at [L, K][a][b] and C_{n,J}(x) *_L C_{n,J}(y)
+        # at [J][L][a][b]
+        muls = {(el, k): [[ctx.mul(el, x, cy) for cy in cyls[k]]
+                          for x in pool]
+                for el in jsets for k in jsets}
+        outers = {j: _table(ctx.mul, jsets, cyls[j]) for j in jsets}
         for j, k, el in itertools.product(jsets, repeat=3):
-            for x, y in _pairs(pool):
-                cy = ctx.cyl(n, k, y)
-                inner = ctx.cyl(n, j, ctx.mul(el, x, cy))
-                outer = ctx.mul(el, ctx.cyl(n, j, x), cy)
-                outer_j = ctx.mul(el, ctx.cyl(n, j, x), ctx.cyl(n, j, y))
-                if j <= k and not leq_plus(inner, outer_j):
+            cj, ck, mul, outer_j = cyls[j], cyls[k], muls[el, k], outers[j][el]
+            for a, b in _pairs(range(len(pool))):
+                inner = ctx.cyl(n, j, mul[a][b])
+                outer = ctx.mul(el, cj[a], ck[b])
+                if j <= k and not leq_plus(inner, outer_j[a][b]):
                     return "part a fails"
                 if n in k and inner.plus != outer.plus:
                     return "part b fails"
@@ -843,8 +898,8 @@ def _cyl_product(ctx, pool):
                         return "part c second fails"
                     if is_suit(ctx, outer.minus) and inner.minus != outer.minus:
                         return "part d fails"
-                if (is_double_suit(ctx, x) and is_double_suit(ctx, y)
-                        and n in k and n in el and inner != outer):
+                if (suits[a] and suits[b] and n in k and n in el
+                        and inner != outer):
                     return "double-suit case fails"
     return None
 
@@ -865,33 +920,36 @@ def _cyl_product_plus_eq(ctx, pool):
 
 @_law("cyl-idempotent", True)
 def _cyl_idempotent(ctx, pool):
+    jsets = ctx.jsets()
     for n in range(ctx.nvars):
-        for j in ctx.jsets():
-            for k in ctx.jsets():
-                for x in pool:
-                    ck = ctx.cyl(n, k, x)
-                    if not leq(ctx.cyl(n, j, ck), ctx.cyl(n, j & k, x)):
+        cyls = _cyl_table(ctx.cyl, n, jsets, pool)
+        for j in jsets:
+            for k in jsets:
+                for ck, cjk in zip(cyls[k], cyls[j & k]):
+                    twice = ctx.cyl(n, j, ck)
+                    if not leq(twice, cjk):
                         return "C_J C_K > C_{J&K}"
-                    if n in k and ctx.cyl(n, j, ck) != ck:
+                    if n in k and twice != ck:
                         return "C_J C_K != C_K with n in K"
     return None
 
 
 @_law("cyl-commute", True)
 def _cyl_commute(ctx, pool):
+    jsets = ctx.jsets()
+    cyls = [_cyl_table(ctx.cyl, n, jsets, pool) for n in range(ctx.nvars)]
     for m in range(ctx.nvars):
         for n in range(ctx.nvars):
             if m == n:
                 continue
-            for j in ctx.jsets():
+            for j in jsets:
                 if n not in j:
                     continue
-                for k in ctx.jsets():
+                for k in jsets:
                     if m not in k:
                         continue
-                    for x in pool:
-                        if (ctx.cyl(m, j, ctx.cyl(n, k, x))
-                                != ctx.cyl(n, k, ctx.cyl(m, j, x))):
+                    for cn, cm in zip(cyls[n][k], cyls[m][j]):
+                        if ctx.cyl(m, j, cn) != ctx.cyl(n, k, cm):
                             return "C_m C_n != C_n C_m"
     return None
 
@@ -938,9 +996,12 @@ def _cyl_diagonal_split(ctx, pool):
             for x in pool:
                 if not is_double_suit(ctx, x):
                     continue
+                # C(D *_J x) and C(D *_J ~x) at [J, K]
+                halves = {(j, k): (ctx.cyl(i, k, ctx.mul(j, d, x)),
+                                   ctx.cyl(i, k, ctx.mul(j, d, ctx.neg(x))))
+                          for j in jsets for k in jsets}
                 for j, k, el in itertools.product(jsets, repeat=3):
-                    a = ctx.cyl(i, k, ctx.mul(j, d, x))
-                    b = ctx.cyl(i, k, ctx.mul(j, d, ctx.neg(x)))
+                    a, b = halves[j, k]
                     if not leq(ctx.mul(el, a, b), ctx.omega):
                         return "C(D * x) * C(D * ~x) > omega"
     return None
@@ -966,8 +1027,7 @@ def _cyl_chain(ctx, pool):
         want = ctx.all_teamsets if has_singleton else 1
         if chain_full.plus != want:
             return "full-slash chain plus"
-        for jlist in (empty, full, mixed):
-            chain = ctx.cyl_chain(x, jlist)
+        for chain in (chain_empty, chain_full, ctx.cyl_chain(x, mixed)):
             full_in = bool(x.minus >> ctx.space.full_team & 1)
             want = ctx.all_teamsets if full_in else 1
             if chain.minus != want:

@@ -127,6 +127,8 @@ def cmd_meaning(args):
 
 
 def cmd_algebra_gen(args):
+    if args.cap < 0:
+        raise IfgError("cap must be >= 0")
     structure = Structure.from_file(args.structure)
     elements = algebra.cyls_of(structure, args.nvars, args.cap)
     ctx = algebra.AlgebraContext(structure.size, args.nvars)

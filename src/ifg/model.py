@@ -155,6 +155,8 @@ class Space:
     """The set of valuations over N variables with universe size K."""
 
     def __init__(self, size, nvars):
+        if nvars < 0:
+            raise IfgError("nvars must be >= 0")
         self.size = size
         self.nvars = nvars
         self.count = size ** nvars

@@ -331,8 +331,9 @@ def _non_suit_pairs(ctx, rng, count):
     out = []
     while len(out) < count:
         if len(out) % 2:
-            parts = [sum(1 << rng.randrange(nteams)
-                         for _ in range(rng.randint(1, 4))) for _ in range(2)]
+            parts = [reduce(or_, (1 << rng.randrange(nteams)
+                                  for _ in range(rng.randint(1, 4))))
+                     for _ in range(2)]
         else:
             parts = [rng.getrandbits(nteams) for _ in range(2)]
         if not any(map(ctx.downsets.is_downset, parts)):

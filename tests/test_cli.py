@@ -70,11 +70,57 @@ def test_algebra_gen_header(eq2, capsys):
     assert out.out.splitlines()[0].startswith("base=2 dim=1 count=")
 
 
+LAWS_OUT = (
+    "absorption-bounds: holds, expected holds\n"
+    "absorption-eq: fails, expected fails  [x + (x * y) != x, J=[] K=[]]\n"
+    "absorption-flat: holds, expected holds\n"
+    "absorption-full-slash: holds, expected holds\n"
+    "associativity-mixed-eq: fails, expected fails  [sum J=[] K=[0]]\n"
+    "associativity-nested-slash: holds, expected holds\n"
+    "associativity-same-slash: holds, expected holds\n"
+    "commutativity: holds, expected holds\n"
+    "complement-criterion: holds, expected holds\n"
+    "complement-suited: holds, expected holds\n"
+    "cyl-chain: holds, expected holds\n"
+    "cyl-commute: holds, expected holds\n"
+    "cyl-constants: holds, expected holds\n"
+    "cyl-diagonal: holds, expected holds\n"
+    "cyl-diagonal-compose: holds, expected holds\n"
+    "cyl-diagonal-split: holds, expected holds\n"
+    "cyl-idempotent: holds, expected holds\n"
+    "cyl-meet: holds, expected holds\n"
+    "cyl-monotone: holds, expected holds\n"
+    "cyl-product: holds, expected holds\n"
+    "cyl-product-plus-eq: fails, expected fails"
+    "  [C(x * C(y)) !=+ C(x) * C(y)]\n"
+    "cyl-slash-antitone: holds, expected holds\n"
+    "demorgan: holds, expected holds\n"
+    "distributive-full-slash: holds, expected holds\n"
+    "distributive-inclusion: holds, expected holds\n"
+    "distributivity-eq: fails, expected fails  [x *_J (y +_K z), J=[] K=[]]\n"
+    "excluded-middle: fails, expected fails  [x + ~x != 1]\n"
+    "fixed-points: holds, expected holds\n"
+    "full-slash-union: holds, expected holds\n"
+    "kleene: holds, expected holds\n"
+    "not-complemented: holds, expected holds\n"
+    "not-complemented-suited: holds, expected holds\n"
+    "omega-between: holds, expected holds\n"
+    "omega-definable: holds, expected holds\n"
+    "op-chain: holds, expected holds\n"
+    "op-monotone: holds, expected holds\n"
+    "order-from-ops: holds, expected holds\n"
+    "rooted-annihilators: holds, expected holds\n"
+    "rooted-bounds: holds, expected holds\n"
+    "rooted-sum-grows: holds, expected holds\n"
+    "slash-antitone: holds, expected holds\n"
+    "unit-elements: holds, expected holds\n"
+)
+
+
 def test_laws_all(capsys):
+    """Every verdict and the first counterexample of each law that fails."""
     code, out = run(capsys, ["laws"])
-    assert code == 0
-    assert "** MISMATCH" not in out.out
-    assert len(out.out.splitlines()) == 42
+    assert code == 0 and out.out == LAWS_OUT
 
 
 def test_laws_single(capsys):
@@ -140,6 +186,22 @@ def test_missing_file_exits_one(capsys):
 def test_bad_formula_exits_one(eq2, capsys):
     code, out = run(capsys, ["truth", "-s", eq2, "-f", "v0=", "-n", "1"])
     assert code == 1 and "error:" in out.err
+
+
+def test_negative_sizes_exit_one(eq2, capsys):
+    """A negative variable count or element cap is invalid input, refused
+    with a message before any space is built."""
+    for argv, message in (
+            (["algebra-gen", "-s", eq2, "-n", "-1"], "nvars must be >= 0"),
+            (["meaning", "-s", eq2, "-f", "v0=v0", "-n", "-1"],
+             "nvars must be >= 0"),
+            (["game", "-s", eq2, "-f", "v0=v0", "-n", "-1", "--team", ""],
+             "nvars must be >= 0"),
+            (["algebra-gen", "-s", eq2, "-n", "1", "--cap", "-1"],
+             "cap must be >= 0")):
+        code, out = run(capsys, argv)
+        assert code == 1 and out.out == ""
+        assert out.err == "error: %s\n" % message
 
 
 @pytest.fixture
