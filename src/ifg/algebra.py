@@ -23,7 +23,7 @@ laws expected to fail stop at their first counterexample and build none.
 """
 
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
@@ -33,9 +33,7 @@ from .downsets import Downsets, MEANING_GUARD
 GENERATION_CAP = 20000
 
 
-class Element(NamedTuple):
-    plus: int
-    minus: int
+Element = namedtuple("Element", "plus minus")
 
 
 class AlgebraContext:

@@ -3,6 +3,14 @@
 Subcommands: eval, truth, game, meaning, algebra-gen, laws, monadic, embed,
 selftest.  Exit codes: 0 success, 1 invalid input, 2 guard exceeded,
 3 selftest failure.
+
+Each command is one process, and on the small inputs it answers, importing
+the package is most of its cost.  So this module imports at load time only
+what building the argument parser needs, and each cmd_* imports the modules
+it runs: truth and game the game search (games), eval and meaning the team
+semantics (trump, which brings algebra and downsets), algebra-gen and laws
+the set algebra, monadic and embed the lattice lab (finlat), selftest the
+example suite.
 """
 
 import argparse
@@ -10,8 +18,6 @@ import functools
 import sys
 
 from .errors import IfgError, GuardExceeded
-from . import syntax, trump, games, algebra, finlat, selftest
-from .model import Structure
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -61,7 +67,7 @@ def build_parser():
     sub = subs.add_parser("algebra-gen", help="algebra generated by the atomic meanings")
     sub.add_argument("-s", "--structure", required=True, metavar="FILE")
     sub.add_argument("-n", "--nvars", required=True, type=int, metavar="N")
-    sub.add_argument("--cap", type=int, default=algebra.GENERATION_CAP,
+    sub.add_argument("--cap", type=int,
                      help="element cap for the generated algebra")
     sub.set_defaults(func=cmd_algebra_gen)
 
@@ -85,12 +91,15 @@ def build_parser():
 
 
 def _load(args):
+    from . import syntax
+    from .model import Structure
     structure = Structure.from_file(args.structure)
     formula = syntax.parse(args.formula, args.nvars)
     return structure, formula
 
 
 def cmd_eval(args):
+    from . import trump
     structure, formula = _load(args)
     evaluator = trump.Evaluator(structure, args.nvars)
     team = evaluator.space.parse_team(args.team)
@@ -101,12 +110,14 @@ def cmd_eval(args):
 
 
 def cmd_truth(args):
+    from . import games
     structure, formula = _load(args)
     print(games.GameAnalyzer(structure, args.nvars).truth_value(formula))
     return 0
 
 
 def cmd_game(args):
+    from . import games
     structure, formula = _load(args)
     analyzer = games.GameAnalyzer(structure, args.nvars)
     team = analyzer.space.parse_team(args.team)
@@ -121,16 +132,20 @@ def cmd_game(args):
 
 
 def cmd_meaning(args):
+    from . import trump
     structure, formula = _load(args)
     print(trump.meaning(structure, formula).render())
     return 0
 
 
 def cmd_algebra_gen(args):
-    if args.cap < 0:
+    from . import algebra
+    from .model import Structure
+    cap = algebra.GENERATION_CAP if args.cap is None else args.cap
+    if cap < 0:
         raise IfgError("cap must be >= 0")
     structure = Structure.from_file(args.structure)
-    elements = algebra.cyls_of(structure, args.nvars, args.cap)
+    elements = algebra.cyls_of(structure, args.nvars, cap)
     ctx = algebra.AlgebraContext(structure.size, args.nvars)
     print(ctx.dump(elements))
     return 0
@@ -154,6 +169,7 @@ _MIXED_LAWS = ("associativity-mixed-eq",)
 
 
 def cmd_laws(args):
+    from . import algebra
     names = [args.law] if args.law else algebra.law_names()
     main_ctx = algebra.AlgebraContext(2, 2)
     main_pool = _default_pool(main_ctx)
@@ -180,6 +196,7 @@ def cmd_laws(args):
 
 
 def cmd_monadic(args):
+    from . import finlat
     alg = finlat.FinAlgebra.from_file(args.file)
     if args.action == "classify":
         print("carrier %d" % alg.size)
@@ -216,6 +233,7 @@ def cmd_monadic(args):
 
 
 def cmd_embed(args):
+    from . import finlat
     alg = finlat.FinAlgebra.from_file(args.file)
     ctx, mapping = finlat.embed_monadic_kleene(alg)
     print("base %d" % ctx.size)
@@ -225,6 +243,7 @@ def cmd_embed(args):
 
 
 def cmd_selftest(args):
+    from . import selftest
     results = selftest.run()
     failures = 0
     for name, ok in results:

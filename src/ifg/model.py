@@ -13,6 +13,9 @@ from .errors import IfgError, ParseError, GuardExceeded
 from . import syntax
 
 SPACE_LIMIT = 1 << 18  # most valuations of a Space: masks grow bit by bit
+# most bits of one ~J class table (class count x valuation count): it keeps
+# one full-width mask per class, so with J empty it grows with count**2
+CLASS_TABLE_LIMIT = 1 << 30
 
 
 class Structure:
@@ -212,6 +215,13 @@ class Space:
         jset = frozenset(jset)
         cached = self._classes.get(jset)
         if cached is None:
+            free = sum(1 for k in range(self.nvars) if k not in jset)
+            if self.size ** free * self.count > CLASS_TABLE_LIMIT:
+                raise GuardExceeded(
+                    "the ~J classes for J = {%s} need %d masks of %d bits, "
+                    "above the limit of %d bits"
+                    % (",".join(str(k) for k in sorted(jset)),
+                       self.size ** free, self.count, CLASS_TABLE_LIMIT))
             reps = {}
             masks = []
             class_of = []
@@ -239,7 +249,10 @@ class Space:
     # -- teams ---------------------------------------------------------------
 
     def parse_team(self, text):
-        """Parse a comma-separated list of digit strings into a team mask."""
+        """Parse a comma-separated list of digit strings into a team mask.
+
+        At 0 variables the one valuation is written '()'.
+        """
         if self.size > 10:
             raise IfgError("digit-string teams require universe size <= 10")
         text = text.strip()
@@ -248,7 +261,9 @@ class Space:
         team = 0
         for item in text.split(","):
             item = item.strip()
-            if len(item) != self.nvars or not item.isdigit():
+            if self.nvars == 0 and item == "()":
+                item = ""  # the empty valuation, as digits() writes it
+            elif len(item) != self.nvars or not item.isdigit():
                 raise IfgError("bad valuation %r for %d variables"
                                % (item, self.nvars))
             val = tuple(int(c) for c in item)

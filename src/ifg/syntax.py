@@ -7,13 +7,18 @@ universal quantifier A vn/{J} are desugared:
     p /\\{J} q      becomes   ~(~p \\/{J} ~q)
     A vn/{J} p      becomes   ~E vn/{J} ~p
 
+Terms (Var, Const, App) and atoms (Eq, Rel) are immutable values with
+__slots__: equal when of the same class with equal fields, hashed by those
+fields, and shown as Name(field=value, ...), as frozen dataclasses would
+be, without the import of dataclasses and the class building it costs
+every process at start-up.
+
 Nodes are interned: structurally equal subformulas are shared and carry a
 stable uid, so evaluators can memoize by uid.
 """
 
 import re
 import weakref
-from dataclasses import dataclass
 
 from .errors import IfgError, ParseError, GuardExceeded
 
@@ -24,47 +29,117 @@ MAX_FORMULA_DEPTH = 16
 # Terms and atoms
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value, compared and hashed by its fields as a frozen
+    dataclass would be: equal to an instance of the same class with equal
+    fields.  A subclass lists its fields in _fields, sets them in __init__
+    through _set, and spells out __eq__ and __hash__ on them, as dataclass
+    generates them: node interning hashes every atom, and a shared method
+    reading _fields would cost one more call per level of the term.
+    Assignment and deletion raise AttributeError."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Var(_Value):
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __str__(self):
         return "v%d" % self.index
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(_Value):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    name: str
-    args: tuple
+class _Named(_Value):
+    """A name applied to a tuple of terms: App (a term) or Rel (an atom)."""
+
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name, args):
+        _set(self, "name", name)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.args) == (other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
     def __str__(self):
         return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: object
-    rhs: object
+class App(_Named):
+    __slots__ = ()
+
+
+class Rel(_Named):
+    __slots__ = ()
+
+
+class Eq(_Value):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
     def __str__(self):
         return "%s=%s" % (self.lhs, self.rhs)
-
-
-@dataclass(frozen=True)
-class Rel:
-    name: str
-    args: tuple
-
-    def __str__(self):
-        return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
 
 
 def term_vars(term):

@@ -1,5 +1,10 @@
 import itertools
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from ifg.finlat import named_algebra
 from ifg.model import Structure
 
 EQ2_TEXT = "universe 2\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -293,3 +299,81 @@ def test_large_valuation_counts_exit_two(eq2, capsys):
         assert code == 2 and out.out == ""
         assert out.err.startswith("error: ") and "exceed the limit" in out.err
         assert "Traceback" not in out.err
+
+
+@pytest.fixture
+def c2(tmp_path):
+    path = tmp_path / "c2.ifgs"
+    path.write_text("universe 2\nconstant c0 = 0\nconstant c1 = 1\n")
+    return str(path)
+
+
+def test_team_of_the_empty_valuation(c2, capsys):
+    """At 0 variables the one valuation is written '()', as meaning
+    prints it, and --team accepts it."""
+    code, out = run(capsys, ["meaning", "-s", c2, "-f", "c0=c0", "-n", "0"])
+    assert code == 0 and out.out == "plus:\n{}\n{()}\nminus:\n{}\n"
+    code, out = run(capsys, ["eval", "-s", c2, "-f", "c0=c1", "-n", "0",
+                             "--team", "()"])
+    assert code == 0 and out.out == "+ no\n- yes\n"
+    code, out = run(capsys, ["game", "-s", c2, "-f", "(c0=c1 \\/{} c0=c0)",
+                             "-n", "0", "--team", "()", "--player", "1"])
+    assert code == 0
+    assert out.out == ("winning strategy for player 1\n"
+                       "pos=- class=() -> right\n")
+    code, out = run(capsys, ["eval", "-s", c2, "-f", "c0=c0", "-n", "0",
+                             "--team", "0"])
+    assert code == 1 and "bad valuation '0' for 0 variables" in out.err
+
+
+def run_process(argv, limit_bytes=None, timeout=60):
+    """python -m ifg.cli argv in a fresh interpreter: (exit, stdout, stderr)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "ifg.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=limit if limit_bytes else None)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_every_command_in_a_fresh_process(eq2, tmp_path, capsys):
+    """Each command imports its own modules when it runs; a fresh process
+    has nothing loaded before, so a missing import shows here."""
+    kleene = algebra_file(tmp_path, "K_nabla1")
+    formula = ["-s", eq2, "-f", "A v0/{} E v1/{0} (v0=v1)", "-n", "2"]
+    for argv in (["eval", "-s", eq2, "-f", "v0=v0", "-n", "1", "--team", ""],
+                 ["truth"] + formula,
+                 ["game"] + formula + ["--team", "00,11", "--player", "0"],
+                 ["meaning", "-s", eq2, "-f", "v0=v1", "-n", "2"],
+                 ["algebra-gen", "-s", eq2, "-n", "1"],
+                 ["laws", "--law", "commutativity"],
+                 ["monadic", "classify", kleene],
+                 ["embed", kleene],
+                 ["selftest"]):
+        code, out, err = run_process(argv)
+        assert "Traceback" not in err, argv
+        in_process_code, in_process = run(capsys, argv)
+        assert (code, out) == (in_process_code, in_process.out), argv
+
+
+def test_class_table_limit_exits_two(tmp_path):
+    """A ~J class table keeps one full-width mask per class.  With J
+    empty at K=2 that is count**2 bits: 2**32 at N=16, the first N above
+    CLASS_TABLE_LIMIT, whose table once took 3 s and 599 MB, and 2**36 at
+    N=18, which ran out of memory.  Both are refused before any mask is
+    built."""
+    path = tmp_path / "u2.ifgs"
+    path.write_text("universe 2\n")
+    text = "A v0/{} E v1/{0} (v0=v1 \\/{} ~v1=v0)"
+    for nvars in (16, 18):
+        start = time.perf_counter()
+        code, out, err = run_process(["truth", "-s", str(path), "-f", text,
+                                      "-n", str(nvars)],
+                                     limit_bytes=1 << 30, timeout=30)
+        assert time.perf_counter() - start < 20
+        assert code == 2 and out == ""
+        assert err == ("error: the ~J classes for J = {} need %d masks of %d "
+                       "bits, above the limit of %d bits\n"
+                       % (1 << nvars, 1 << nvars, 1 << 30))

@@ -1,7 +1,7 @@
 """The module layering model -> downsets -> algebra -> trump, and games
-beside it on model alone; no assert statement in the package; no loop
-over every team in the algebra and its kernels; and the choice of kernel
-left to downsets.
+beside it on model alone; what the command line loads; no assert
+statement in the package; no loop over every team in the algebra and its
+kernels; and the choice of kernel left to downsets.
 
 Each module is imported in a fresh interpreter, which must not load any
 module above it in that order.  The game search must load none of
@@ -18,12 +18,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ORDER = ["ifg.model", "ifg.downsets", "ifg.algebra", "ifg.trump"]
 
 
-def loaded_by(module):
-    code = ("import sys; sys.path.insert(0, %r); import %s; "
-            "print(' '.join(sys.modules))" % (str(SRC), module))
+def loaded_after(code):
+    """Modules held by a fresh interpreter after it runs code."""
+    code = ("import sys; sys.path.insert(0, %r)\n%s\n"
+            "print(' '.join(sys.modules))" % (str(SRC), code))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    return set(out.split())
+    return set(out.splitlines()[-1].split())
+
+
+def loaded_by(module):
+    return loaded_after("import %s" % module)
 
 
 def test_no_module_imports_one_above_it():
@@ -39,6 +44,37 @@ def test_games_is_independent_of_the_fold():
     loaded = loaded_by("ifg.games")
     assert "ifg.games" in loaded
     assert not loaded & set(ORDER[1:])
+
+
+# Modules that a command which runs none of them should not pay to load:
+# dataclasses and inspect (with ast, dis and tokenize) cost more to import
+# than the game search costs on small inputs.
+NOT_AT_START = {"dataclasses", "inspect", "ifg.selftest", "ifg.finlat",
+                "ifg.algebra", "ifg.downsets", "ifg.trump"}
+
+
+def test_cli_loads_only_what_the_parser_needs():
+    bare = loaded_after("")
+    assert not (loaded_by("ifg.cli") - bare) & NOT_AT_START
+
+
+def test_truth_loads_only_the_game_search(tmp_path):
+    path = tmp_path / "eq2.ifgs"
+    path.write_text("universe 2\n")
+    loaded = loaded_after(
+        "from ifg import cli\n"
+        "code = cli.main(['truth', '-s', %r, '-f', 'A v0/{} E v1/{0} (v0=v1)',"
+        " '-n', '2'])\n"
+        "if code: sys.exit(code)" % str(path))
+    assert "ifg.games" in loaded
+    assert not loaded & {m for m in NOT_AT_START if m.startswith("ifg.")}
+
+
+def test_package_loads_no_dataclasses_or_typing():
+    bare = loaded_after("")
+    loaded = loaded_after("import ifg.cli, ifg.selftest, ifg.finlat, "
+                          "ifg.trump, ifg.games")
+    assert not (loaded - bare) & {"dataclasses", "inspect", "typing"}
 
 
 def test_no_assert_in_the_package():

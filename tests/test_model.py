@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ifg import syntax
+from ifg import model, syntax
 from ifg.downsets import Downsets
 from ifg.errors import IfgError, ParseError, GuardExceeded
 from ifg.model import (Structure, Space, SPACE_LIMIT, eval_term, eval_atomic,
@@ -151,6 +151,20 @@ def test_classes_partition():
         assert union == SP.full_team
 
 
+def test_class_table_limit(monkeypatch):
+    """A ~J class table is refused, before it is built, when its class
+    count times the valuation count exceeds CLASS_TABLE_LIMIT."""
+    assert model.CLASS_TABLE_LIMIT == 1 << 30
+    monkeypatch.setattr(model, "CLASS_TABLE_LIMIT", 9 * 27)
+    sp = Space(3, 3)
+    assert len(sp.classes(frozenset({2}))[0]) == 9  # at the limit
+    assert len(sp.classes(frozenset({0, 1, 2, 5}))[0]) == 1
+    with pytest.raises(GuardExceeded, match=r"J = \{\} need 27 masks of 27 "
+                                            r"bits, above the limit of 243"):
+        sp.classes(frozenset())
+    assert frozenset() not in sp._classes
+
+
 def test_class_repr():
     assert SP.class_repr(0, frozenset({1})) == "0*"
     assert SP.class_repr(3, frozenset()) == "11"
@@ -162,6 +176,10 @@ def test_class_repr():
 
 def test_parse_and_render_team():
     assert SP.parse_team("") == 0
+    assert Space(2, 0).parse_team("()") == 1
+    assert Space(2, 0).render_team(1) == "{()}"
+    with pytest.raises(IfgError):
+        SP.parse_team("()")
     assert SP.parse_team("00,11") == 0b1001
     assert SP.render_team(0b1001) == "{00,11}"
     assert SP.render_team(0) == "{}"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,11 +167,77 @@ def test_variable_out_of_range():
         syntax.parse("E v0/{3} v0=v0", 2)
 
 
+PARSE_ERRORS = [
+    ("v0=", "expected term at offset 3"),
+    ("(v0=v1", "expected operator or ')' at offset 6"),
+    ("v0 v1", "expected '=' after term at offset 3"),
+    ("E v0/{x} v0=v0", "expected index at offset 6"),
+    ("v0=v1)", "unexpected ')' at offset 5"),
+    ("(v0=v1 \\/ v0=v1)", "expected '{' but found 'v0' at offset 10"),
+    ("$", "unexpected character '$' at offset 0"),
+]
+
+
 def test_parse_errors():
-    for text in ["v0=", "(v0=v1", "v0 v1", "E v0/{x} v0=v0", "v0=v1)",
-                 "(v0=v1 \\/ v0=v1)", "$"]:
-        with pytest.raises(ParseError):
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
             syntax.parse(text, 2)
+        assert str(err.value) == message, text
+
+
+# -- terms and atoms are values -----------------------------------------------
+
+
+def test_terms_and_atoms_are_values():
+    """Equal when of the same class with equal fields, hashed alike."""
+    x = V(0)
+    assert V(0) == x and hash(V(0)) == hash(x)
+    assert V(0) != V(1) and V(0) != syntax.Const("v0")
+    assert syntax.App("f", (x,)) != syntax.Rel("f", (x,))
+    assert syntax.Rel("f", (x,)) == syntax.Rel("f", (V(0),))
+    assert x != (0,) and (0,) != x
+    assert syntax.Const("c") != "c"
+    a = syntax.Eq(syntax.App("f", (x,)), syntax.Const("c"))
+    b = syntax.Eq(syntax.App("f", (V(0),)), syntax.Const("c"))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, syntax.Eq(syntax.Const("c"), syntax.App("f", (x,)))}) == 2
+    assert syntax.atomic(a) is syntax.atomic(b)
+    r = syntax.Rel("R", (x, V(1)))
+    assert syntax.atomic(r) is syntax.atomic(syntax.Rel("R", (V(0), V(1))))
+    assert syntax.atomic(r) is not syntax.atomic(syntax.Rel("R", (V(1), x)))
+
+
+def test_terms_and_atoms_refuse_assignment():
+    for value, field in ((V(0), "index"), (syntax.Const("c"), "name"),
+                         (syntax.App("f", (V(0),)), "args"),
+                         (syntax.Eq(V(0), V(1)), "lhs"),
+                         (syntax.Rel("R", (V(0),)), "name")):
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert repr(value) == before
+
+
+def test_term_and_atom_text():
+    x = V(0)
+    a = syntax.Eq(syntax.App("f", (x,)), syntax.Const("c"))
+    assert repr(a) == ("Eq(lhs=App(name='f', args=(Var(index=0),)), "
+                       "rhs=Const(name='c'))")
+    assert str(a) == "f(v0)=c"
+    r = syntax.Rel("R", (x, V(1)))
+    assert repr(r) == "Rel(name='R', args=(Var(index=0), Var(index=1)))"
+    assert str(r) == "R(v0,v1)"
+    assert syntax.Var(index=3) == V(3)
+
+
+def test_terms_and_atoms_pickle():
+    a = syntax.Rel("R", (V(0), syntax.App("g", (syntax.Const("c"),))))
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a
 
 
 def test_negative_nvars():
