@@ -7,10 +7,11 @@ selftest.  Exit codes: 0 success, 1 invalid input, 2 guard exceeded,
 Each command is one process, and on the small inputs it answers, importing
 the package is most of its cost.  So this module imports at load time only
 what building the argument parser needs, and each cmd_* imports the modules
-it runs: truth and game the game search (games), eval and meaning the team
-semantics (trump, which brings algebra and downsets), algebra-gen and laws
-the set algebra, monadic and embed the lattice lab (finlat), selftest the
-example suite.
+it runs: truth, game and eval the game search (games), meaning the fold
+(trump, which brings algebra and downsets), algebra-gen and laws the set
+algebra, monadic and embed the lattice lab (finlat), selftest the example
+suite.  eval answers + when player 1 (the verifier) wins from the team and
+- when player 0 does.
 """
 
 import argparse
@@ -99,13 +100,13 @@ def _load(args):
 
 
 def cmd_eval(args):
-    from . import trump
+    from . import games
     structure, formula = _load(args)
-    evaluator = trump.Evaluator(structure, args.nvars)
-    team = evaluator.space.parse_team(args.team)
-    for sign, positive in (("+", True), ("-", False)):
-        verdict = "yes" if evaluator.satisfies(formula, team, positive) else "no"
-        print("%s %s" % (sign, verdict))
+    analyzer = games.GameAnalyzer(structure, args.nvars)
+    team = analyzer.space.parse_team(args.team)
+    verdicts = [analyzer.wins(formula, team, player) for player in (1, 0)]
+    for sign, won in zip("+-", verdicts):
+        print("%s %s" % (sign, "yes" if won else "no"))
     return 0
 
 

@@ -234,7 +234,9 @@ class Downsets:
         Each ~J class lies in one such block, and s[n/a] stays in the block
         of s.  Per block, a team keeps its part outside and swaps its part
         v inside for each w that v varies to, from a table per (n, J) of
-        the v's of each w.
+        the v's of each w.  A function V ->_J A picks one value per ~J
+        class, so a table is built class by class: each nonempty part of
+        a class with its variation to each value, or the empty part.
         """
         tables = self._tables.get((n, jset))
         if tables is None:
@@ -243,13 +245,24 @@ class Downsets:
                 raise GuardExceeded(
                     "C_%d,%s needs %d team-variant pairs (limit %d)"
                     % (n, sorted(jset), pairs, 1 << MEANING_GUARD))
+            space = self.space
+            classes = space.classes(jset)[0]
             tables = []
-            for block in self.space.classes(jset | {n})[0]:
-                tables.append({})
-                for v in bits(powerset(block)):
-                    for fn in self.space.independent_functions(v, jset):
-                        w = self.space.variant_team_fn(n, *fn)
-                        tables[-1].setdefault(w, []).append(v)
+            for block in space.classes(jset | {n})[0]:
+                table = {0: [0]}
+                for c in classes:
+                    if c & block:
+                        moves = [(p, space.variant_team(p, n, b))
+                                 for p in bits(powerset(c))[1:]
+                                 for b in range(space.size)]
+                        grown = {}
+                        for w, sources in table.items():
+                            grown.setdefault(w, []).extend(sources)
+                            for p, x in moves:
+                                grown.setdefault(w | x, []).extend(
+                                    v | p for v in sources)
+                        table = grown
+                tables.append(table)
             self._tables[(n, jset)] = tables
         for out, table in zip(self.outside(jset | {n}), tables):
             part = 0

@@ -15,18 +15,27 @@ every successor play to be won, and `reachable_positions` walks it with no
 strategy.
 
 The search computes, per (subformula node, flag "the searched player is the
-verifier here"), the antichain of maximal sets W of valuations such that one
-fixed uniform strategy on that subtree wins from every start in W.  A team V
-then has a winning strategy iff V is empty or V is contained in some W of
-the root antichain.  Each antichain entry records how it was composed from
-child entries, which yields a concrete witness strategy.  A sentence is
-true (false) when the root antichain of player 1 (0) holds the full team;
-`truth_value` answers so at every valuation count, within SEARCH_GUARD.
+verifier here", reach R), the antichain of maximal sets W inside R such
+that one fixed uniform strategy on that subtree wins from every start in W.
+R holds the valuations at which plays from the asked team can be at the
+node: the team at the root, passed on unchanged by ~ and \\/, and by E v_n
+as the union of the n-lines it meets.  Uniformity binds only positions that
+plays visit, so the clauses look only at the ~J classes that meet R, each
+cut down to R.  The team then has a winning strategy iff it is itself an
+entry of the root antichain.  Each entry records how it was composed from
+child entries, which yields a concrete witness strategy on the classes
+plays meet.  On the full team every reach is the full team: a sentence is
+true (false) when player 1 (0) wins from it, and `truth_value` answers so
+at every valuation count, within SEARCH_GUARD.  The search answers `ifg
+truth`, `game` and `eval`, and before it builds any mask it refuses a ~J
+class table too large for `Space.check_classes`.
 
 The E clauses read a child entry's variations through `Space.preimages`,
 the whole-mask primitive the `downsets` kernels use too.  The module
 imports neither those kernels nor `algebra` or `trump`, so the tests that
-compare the search with the fold compare two independent computations.
+compare the search with the fold compare two independent computations;
+the tests also check its verdicts from single teams against the per-team
+recursion.
 """
 
 from itertools import product
@@ -75,51 +84,70 @@ class GameAnalyzer:
         self.structure = structure
         self.nvars = nvars
         self.space = Space(structure.size, nvars)
-        self._ant = {}
+        self._atoms = {}   # atom node uid -> the valuations where it holds
+        self._ant = {}     # (node uid, myturn, reach) -> antichain
 
     # -- antichains of maximal winning valuation sets -------------------------
 
-    def antichain(self, node, myturn):
-        key = (node.uid, myturn)
+    def antichain(self, node, myturn, reach):
+        """The maximal sets W inside reach from which one uniform strategy
+        on node's subtree wins, each with its provenance."""
+        key = (node.uid, myturn, reach)
         hit = self._ant.get(key)
         if hit is not None:
             return hit
-        result = self._antichain(node, myturn)
+        result = self._antichain(node, myturn, reach)
         self._ant[key] = result
         return result
 
-    def _antichain(self, node, myturn):
-        space = self.space
+    def _antichain(self, node, myturn, reach):
         if isinstance(node, syntax.Atomic):
-            mask = atom_mask(self.structure, space, node.atom)
-            w = mask if myturn else space.full_team & ~mask
-            return [(w, ())]
-        elif isinstance(node, syntax.Not):
-            child = self.antichain(node.child, not myturn)
+            mask = self._atoms.get(node.uid)
+            if mask is None:
+                mask = self._atoms[node.uid] = atom_mask(
+                    self.structure, self.space, node.atom)
+            return [(reach & mask if myturn else reach & ~mask, ())]
+        below = self._below(node, reach)
+        if isinstance(node, syntax.Not):
+            child = self.antichain(node.child, not myturn, below)
             return [(w, (ci,)) for ci, (w, _) in enumerate(child)]
         elif isinstance(node, syntax.Or):
-            antl = self.antichain(node.left, myturn)
-            antr = self.antichain(node.right, myturn)
-            wl = [w for w, _ in antl]
-            wr = [w for w, _ in antr]
+            wl = [w for w, _ in self.antichain(node.left, myturn, below)]
+            wr = [w for w, _ in self.antichain(node.right, myturn, below)]
             if myturn:
-                return self._or_verifier(node.jset, wl, wr)
+                return self._or_verifier(node.jset, reach, wl, wr)
             return self._or_opponent(wl, wr)
         elif isinstance(node, syntax.Exists):
-            wc = [w for w, _ in self.antichain(node.child, myturn)]
+            wc = [w for w, _ in self.antichain(node.child, myturn, below)]
             if myturn:
-                return self._exists_verifier(node.n, node.jset, wc)
-            return self._exists_opponent(node.n, wc)
+                return self._exists_verifier(node.n, node.jset, reach, wc)
+            return self._exists_opponent(node.n, reach, wc)
         else:
             raise IfgError("not a formula node: %r" % (node,))
 
-    def _or_verifier(self, jset, wl, wr):
+    def _below(self, node, reach):
+        """The reach of node's children, given node's reach.  The full team
+        holds every variation of its valuations, so it is its own."""
+        if isinstance(node, syntax.Exists) and reach != self.space.full_team:
+            return self.space.variant_team_all(reach, node.n)
+        return reach
+
+    def _met(self, jset, reach):
+        """The ~J classes that meet reach: their ids and their parts in it.
+        The full team meets every class and holds it whole."""
         masks, _ = self.space.classes(jset)
+        if reach == self.space.full_team:
+            return range(len(masks)), masks
+        ids = [cid for cid, cls in enumerate(masks) if cls & reach]
+        return ids, [masks[cid] & reach for cid in ids]
+
+    def _or_verifier(self, jset, reach, wl, wr):
+        _, parts = self._met(jset, reach)
         groups = []
         for li, l in enumerate(wl):
             for ri, r in enumerate(wr):
                 per_class = []
-                for cls in masks:
+                for cls in parts:
                     a, b = cls & l, cls & r
                     if b & ~a == 0:
                         per_class.append(((a, "left"),))
@@ -135,13 +163,13 @@ class GameAnalyzer:
         return _maximal([[(l & r, (li, ri))] for li, l in enumerate(wl)
                          for ri, r in enumerate(wr)])
 
-    def _exists_verifier(self, n, jset, wc):
-        masks, _ = self.space.classes(jset)
+    def _exists_verifier(self, n, jset, reach, wc):
+        _, parts = self._met(jset, reach)
         groups = []
         for ci, target in enumerate(wc):
             pres = self.space.preimages(target, n)
             per_class = []
-            for cls in masks:
+            for cls in parts:
                 options = {}
                 for b, pre in enumerate(pres):
                     options.setdefault(pre & cls, b)
@@ -151,68 +179,88 @@ class GameAnalyzer:
                            _uniform_picks(per_class, len(wc))])
         return _maximal(groups)
 
-    def _exists_opponent(self, n, wc):
+    def _exists_opponent(self, n, reach, wc):
         groups = []
         for ci, target in enumerate(wc):
-            w = self.space.full_team
+            w = reach
             for pre in self.space.preimages(target, n):
                 w &= pre
             groups.append([(w, (ci,))])
         return _maximal(groups)
 
+    def _root(self, formula, myturn):
+        """The checked root of formula, once `Space.check_classes` passes
+        the slash sets whose class tables the search will build."""
+        root = syntax.checked_root(formula, self.nvars)
+        self.space.check_classes(_slash_sets(root, myturn, set()))
+        return root
+
     # -- winning strategies ----------------------------------------------------
 
     def truth_value(self, formula):
-        """true, false or undetermined: which player wins from the full team.
-
-        A sentence is true (false) when the root antichain of player 1 (0)
-        holds the full team.
-        """
+        """true, false or undetermined: which player wins from the full team."""
         node = syntax.checked_root(formula, self.nvars)
         if node.freevars:
             raise IfgError("formula is not a sentence: %s"
                            % syntax.render(node))
-        full = self.space.full_team
-        for myturn, verdict in ((True, "true"), (False, "false")):
-            if any(w == full for w, _ in self.antichain(node, myturn)):
+        for player, verdict in ((1, "true"), (0, "false")):
+            if self.wins(node, self.space.full_team, player):
                 return verdict
         return "undetermined"
 
     def winning_mask(self, formula, player):
         """Bitmask over all teams V from which the player wins (count small)."""
-        node = syntax.checked_root(formula, self.nvars)
+        full = self.space.full_team
+        node = self._root(formula, player == 1)
         mask = 1
-        for w, _ in self.antichain(node, player == 1):
+        for w, _ in self.antichain(node, player == 1, full):
             mask |= self.space.powerset_mask(w)
         return mask
 
+    def wins(self, formula, team, player):
+        """True iff the player has a uniform winning strategy from team."""
+        return self._winning_entry(formula, team, player) is not None
+
     def has_winning_strategy(self, formula, team, player):
         """(bool, witness Strategy or None) for the given player and team."""
-        node = syntax.checked_root(formula, self.nvars)
-        if team == 0:
-            return True, Strategy(player)
-        ant = self.antichain(node, player == 1)
-        for idx, (w, _) in enumerate(ant):
-            if team & ~w == 0:
-                strategy = Strategy(player)
-                self._extract(node, (), player == 1, ant, idx, strategy)
-                return True, strategy
-        return False, None
+        found = self._winning_entry(formula, team, player)
+        if found is None:
+            return False, None
+        strategy = Strategy(player)
+        node, ant, idx = found
+        self._extract(node, (), player == 1, team, ant, idx, strategy)
+        return True, strategy
 
-    def _extract(self, node, pos, myturn, ant, idx, strategy):
+    def _winning_entry(self, formula, team, player):
+        """(root, root antichain, index of its entry team) or None.
+
+        Every entry lies inside the root's reach, the team, so the player
+        wins from the team exactly when it is an entry itself.
+        """
+        node = self._root(formula, player == 1)
+        ant = self.antichain(node, player == 1, team)
+        for idx, (w, _) in enumerate(ant):
+            if w == team:
+                return node, ant, idx
+        return None
+
+    def _extract(self, node, pos, myturn, reach, ant, idx, strategy):
         """Add the moves of entry idx of ant and of the entries it was
         composed from; its provenance lists one child entry per child, then
-        at the searched player's \\/ or E the move on each ~J class."""
+        at the searched player's \\/ or E the move on each ~J class that
+        meets reach."""
         picks = ant[idx][1]
         if isinstance(node, syntax.Not):
             myturn = not myturn
         elif myturn and not isinstance(node, syntax.Atomic):
             *picks, moves = picks
-            for cid, move in enumerate(moves):
+            ids, _ = self._met(node.jset, reach)
+            for cid, move in zip(ids, moves):
                 strategy.add(self.space, pos, node.jset, cid, move)
+        below = self._below(node, reach)
         for (step, child), ci in zip(syntax.children(node), picks):
-            self._extract(child, pos + (step,), myturn,
-                          self.antichain(child, myturn), ci, strategy)
+            self._extract(child, pos + (step,), myturn, below,
+                          self.antichain(child, myturn, below), ci, strategy)
 
     # -- plays -------------------------------------------------------------------
 
@@ -293,6 +341,18 @@ class GameAnalyzer:
         for val in bits(team):
             walk(node, (), val, 1)
         return seen
+
+
+def _slash_sets(node, myturn, seen):
+    """The slash sets of the \\/ and E nodes where the searched player
+    moves, in the order the search builds their ~J class tables."""
+    if (node.uid, myturn) not in seen:
+        seen.add((node.uid, myturn))
+        turn = not myturn if isinstance(node, syntax.Not) else myturn
+        for _, child in syntax.children(node):
+            yield from _slash_sets(child, turn, seen)
+        if myturn and isinstance(node, (syntax.Or, syntax.Exists)):
+            yield node.jset
 
 
 def _maximal(groups):

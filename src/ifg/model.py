@@ -7,7 +7,7 @@ Digit-string notation writes a valuation as its digits in variable order,
 so "01" means v0=0, v1=1.
 """
 
-from itertools import compress, product
+from itertools import compress
 
 from .errors import IfgError, ParseError, GuardExceeded
 from . import syntax
@@ -204,10 +204,6 @@ class Space:
         digit = (index // stride) % self.size
         return index + (b - digit) * stride
 
-    def agree_outside(self, i, j, jset):
-        a, b = self.decode(i), self.decode(j)
-        return all(a[k] == b[k] for k in range(self.nvars) if k not in jset)
-
     # -- equivalence classes of agree-outside-J ------------------------------
 
     def classes(self, jset):
@@ -215,13 +211,7 @@ class Space:
         jset = frozenset(jset)
         cached = self._classes.get(jset)
         if cached is None:
-            free = sum(1 for k in range(self.nvars) if k not in jset)
-            if self.size ** free * self.count > CLASS_TABLE_LIMIT:
-                raise GuardExceeded(
-                    "the ~J classes for J = {%s} need %d masks of %d bits, "
-                    "above the limit of %d bits"
-                    % (",".join(str(k) for k in sorted(jset)),
-                       self.size ** free, self.count, CLASS_TABLE_LIMIT))
+            self.check_classes((jset,))
             reps = {}
             masks = []
             class_of = []
@@ -237,6 +227,22 @@ class Space:
             cached = (masks, class_of)
             self._classes[jset] = cached
         return cached
+
+    def check_classes(self, jsets):
+        """Refuse, before any is built, the first ~J class table of jsets
+        whose class count times the valuation count exceeds
+        CLASS_TABLE_LIMIT bits.  J empty has the most classes, one per
+        valuation, so while its table fits, jsets is not read."""
+        if self.count * self.count <= CLASS_TABLE_LIMIT:
+            return
+        for jset in jsets:
+            free = sum(1 for k in range(self.nvars) if k not in jset)
+            if self.size ** free * self.count > CLASS_TABLE_LIMIT:
+                raise GuardExceeded(
+                    "the ~J classes for J = {%s} need %d masks of %d bits, "
+                    "above the limit of %d bits"
+                    % (",".join(str(k) for k in sorted(jset)),
+                       self.size ** free, self.count, CLASS_TABLE_LIMIT))
 
     def class_repr(self, index, jset):
         """Canonical text for the ~J class of a valuation: digits, J starred."""
@@ -304,32 +310,6 @@ class Space:
             out.append("{" + text + "}")
         return out
 
-    def team_classes(self, team, jset):
-        """Nonempty intersections of team with the ~J classes, in order."""
-        masks, _ = self.classes(jset)
-        return [m & team for m in masks if m & team]
-
-    def saturated_splits(self, team, jset):
-        """All ordered pairs (V1, V2) with V = V1 union_J V2.
-
-        Yields 2**(number of touched classes) pairs; parts may be empty.
-        """
-        blocks = self.team_classes(team, jset)
-        for keep in product((1, 0), repeat=len(blocks)):
-            v1 = sum(compress(blocks, keep[::-1]))
-            yield v1, team ^ v1
-
-    def independent_functions(self, team, jset):
-        """All functions V ->_J A as (blocks, values) pairs.
-
-        blocks are the ~J classes of V in canonical order; values is a tuple
-        assigning one universe element per block.  The empty team yields the
-        single empty function.
-        """
-        blocks = self.team_classes(team, jset)
-        for values in product(range(self.size), repeat=len(blocks)):
-            yield blocks, values[::-1]
-
     # -- variations ----------------------------------------------------------
 
     def _digit_slices(self, n):
@@ -369,12 +349,6 @@ class Space:
     def variant_team_all(self, team, n):
         """The union of the n-lines (the ~{n} classes) that team meets."""
         return self.variant_team(team, n, 0) * self._digit_slices(n)[1]
-
-    def variant_team_fn(self, n, blocks, values):
-        out = 0
-        for block, b in zip(blocks, values):
-            out |= self.variant_team(block, n, b)
-        return out
 
     def powerset_mask(self, team):
         """Team-set mask whose bits are exactly the subsets of team."""

@@ -5,8 +5,8 @@ answer.  `run()` executes all of them and returns (name, passed) pairs in
 name order; the CLI prints the table and signals failure via exit code.
 """
 
-from . import syntax, model, trump, games, algebra, finlat
-from .model import Space, Structure
+from . import syntax, trump, games, algebra, finlat
+from .model import Structure
 
 
 def _ts(space, *teams):
@@ -34,7 +34,7 @@ def _pennies():
 
 
 # ---------------------------------------------------------------------------
-# syntax and model
+# syntax
 
 
 def check_parse_slashed_existential():
@@ -61,52 +61,24 @@ def check_unbound_sets():
     return ub[()] == frozenset() and ub[(3,)] == frozenset({1})
 
 
-def check_agree_outside_full_total():
-    sp = Space(2, 2)
-    full = frozenset({0, 1})
-    return all(sp.agree_outside(i, j, full)
-               for i in range(sp.count) for j in range(sp.count))
-
-
-def check_empty_team_empty_function():
-    sp = Space(2, 2)
-    fns = list(sp.independent_functions(0, frozenset({0})))
-    return fns == [([], ())]
-
-
-def check_full_slash_constant_functions():
-    sp = Space(2, 2)
-    fns = list(sp.independent_functions(sp.full_team, frozenset({0, 1})))
-    return (len(fns) == sp.size
-            and sorted(values for _, values in fns) == [(0,), (1,)])
-
-
-def check_full_slash_saturated_covers():
-    sp = Space(2, 2)
-    covers = set(sp.saturated_splits(sp.full_team, frozenset({0, 1})))
-    return covers == {(sp.full_team, 0), (0, sp.full_team)}
-
-
 # ---------------------------------------------------------------------------
-# trump
+# trump and games
 
 
 def check_satisfaction_by_emptyset():
-    ev = trump.Evaluator(_eq2(), 2)
-    for f in (_pennies(), syntax.parse("v0=v1", 2),
-              syntax.parse("~(v0=v1)", 2)):
-        if not (ev.satisfies(f, 0, True) and ev.satisfies(f, 0, False)):
-            return False
-    return True
+    ga = games.GameAnalyzer(_eq2(), 2)
+    return all(ga.wins(f, 0, player)
+               for f in (_pennies(), syntax.parse("v0=v1", 2),
+                         syntax.parse("~(v0=v1)", 2))
+               for player in (0, 1))
 
 
 def check_matching_pennies_undetermined():
-    ev = trump.Evaluator(_eq2(), 2)
+    ga = games.GameAnalyzer(_eq2(), 2)
     f = _pennies()
-    full = ev.space.full_team
-    return (not ev.satisfies(f, full, True)
-            and not ev.satisfies(f, full, False)
-            and games.GameAnalyzer(_eq2(), 2).truth_value(f) == "undetermined")
+    full = ga.space.full_team
+    return (not ga.wins(f, full, 1) and not ga.wins(f, full, 0)
+            and ga.truth_value(f) == "undetermined")
 
 
 def check_diagonal_meaning():
@@ -123,10 +95,6 @@ def check_constant_atom_meaning():
     sp = ev.space
     return (m.plus == _ts(sp, "", "0")
             and m.minus == _ts(sp, "", "1", "2", "1,2"))
-
-
-# ---------------------------------------------------------------------------
-# games
 
 
 def check_empty_team_winning_both():

@@ -1,14 +1,13 @@
-"""Team satisfaction: the compositional counterpart of the semantic games.
+"""Team semantics over every team at once: a formula's meaning.
 
 A team V satisfies a formula positively when the verifier can win from every
 valuation in V using one uniform strategy, and negatively when the falsifier
-can.  The evaluator implements the five clause pairs directly, team by team,
-as the definitional oracle; `ifg eval` uses it because it looks only at the
-team it is given.  A formula's meaning, its pair of winning- and losing-team
-sets, is the fold of the formula into `AlgebraContext`: an atom denotes a
-flat element, and ~, \\/_J and E v_n/J denote neg, add and cyl, the meaning
-homomorphism of the cylindric set algebra.  The truth of a sentence is
-answered by the game search (`games.GameAnalyzer.truth_value`).
+can.  A formula's meaning, its pair of winning- and losing-team sets, is the
+fold of the formula into `AlgebraContext`: an atom denotes a flat element,
+and ~, \\/_J and E v_n/J denote neg, add and cyl, the meaning homomorphism of
+the cylindric set algebra.  It answers `ifg meaning`.  Questions about one
+team, and the truth of a sentence, are answered by the game search
+(`games.GameAnalyzer`).
 """
 
 from .errors import IfgError
@@ -53,52 +52,7 @@ class Evaluator:
         self.nvars = nvars
         self.space = Space(structure.size, nvars)
         self._ctx = None         # AlgebraContext, built by the first fold
-        self._atom_masks = {}    # atom -> team, for the per-team recursion
-        self._memo = {}          # (node uid, team, sign) -> satisfied
         self._elements = {}      # node uid -> Element
-
-    # -- per-team satisfaction (definitional recursion) ----------------------
-
-    def satisfies(self, formula, team, positive):
-        return self._satisfies(syntax.checked_root(formula, self.nvars),
-                               team, positive)
-
-    def _satisfies(self, node, team, positive):
-        key = (node.uid, team, positive)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        space = self.space
-        if isinstance(node, syntax.Atomic):
-            mask = self._atom_masks.get(node.atom)
-            if mask is None:
-                mask = atom_mask(self.structure, space, node.atom)
-                self._atom_masks[node.atom] = mask
-            result = team & (~mask if positive else mask) == 0
-        elif isinstance(node, syntax.Not):
-            result = self._satisfies(node.child, team, not positive)
-        elif isinstance(node, syntax.Or):
-            if positive:
-                splits = space.saturated_splits(team, node.jset)
-                result = any(self._satisfies(node.left, v1, True)
-                             and self._satisfies(node.right, v2, True)
-                             for v1, v2 in splits)
-            else:
-                result = (self._satisfies(node.left, team, False)
-                          and self._satisfies(node.right, team, False))
-        elif isinstance(node, syntax.Exists):
-            if positive:
-                functions = space.independent_functions(team, node.jset)
-                result = any(self._satisfies(
-                    node.child, space.variant_team_fn(node.n, *fn), True)
-                    for fn in functions)
-            else:
-                result = self._satisfies(
-                    node.child, space.variant_team_all(team, node.n), False)
-        else:
-            raise IfgError("not a formula node: %r" % (node,))
-        self._memo[key] = result
-        return result
 
     # -- meanings: the fold into the algebra ---------------------------------
 
@@ -141,11 +95,6 @@ class Evaluator:
             raise IfgError("meaning of %s breaks the empty-team and "
                            "disjointness invariants" % syntax.render(node))
         return result
-
-
-def satisfies(structure, formula, team, positive):
-    """One-shot satisfaction check."""
-    return Evaluator(structure, formula.nvars).satisfies(formula, team, positive)
 
 
 def meaning(structure, formula):

@@ -9,6 +9,7 @@ from ifg import syntax, trump, algebra
 from ifg.algebra import Element, AlgebraContext, leq, leq_plus, leq_minus
 from ifg.errors import IfgError, GuardExceeded
 from ifg.model import Structure, bits
+from teamsem import OracleSpace, TeamSemantics
 
 CTX = AlgebraContext(2, 2)
 EQ2 = Structure(2)
@@ -103,6 +104,7 @@ def test_meaning_homomorphism_depth_two():
     for nvars, texts in HOMOMORPHISM_CASES:
         ctx = AlgebraContext(2, nvars)
         ev = trump.Evaluator(CONST2, nvars)
+        oracle = TeamSemantics(CONST2, nvars)
         atoms = [syntax.parse(t, nvars).root for t in texts]
         elems = [ev.element(a) for a in atoms]
         cases = []
@@ -115,9 +117,10 @@ def test_meaning_homomorphism_depth_two():
                     cases.append((syntax.exists(n, j, a), ctx.cyl(n, j, x)))
         for node, got in cases:
             for team in range(1 << ctx.space.count):
-                assert got.plus >> team & 1 == ev.satisfies(node, team, True)
-                assert got.minus >> team & 1 == ev.satisfies(node, team,
-                                                             False)
+                assert got.plus >> team & 1 == oracle.satisfies(node, team,
+                                                                True)
+                assert got.minus >> team & 1 == oracle.satisfies(node, team,
+                                                                 False)
 
 
 def test_element_of_matches_meaning():
@@ -347,7 +350,7 @@ def test_operations_match_brute_force(size, nvars):
     """add, mul and cyl on any team sets against the definitions, team by
     team: a sum is a saturated split, a cylinder a choice function."""
     ctx = AlgebraContext(size, nvars)
-    space = ctx.space
+    space = OracleSpace(size, nvars)
     if ctx.all_teamsets < 4:
         masks = range(ctx.all_teamsets + 1)
         elems = [Element(p, m) for p in masks for m in masks]

@@ -10,7 +10,7 @@ import pytest
 
 from ifg import cli, finlat, games, syntax
 from ifg.finlat import named_algebra
-from ifg.model import Structure
+from ifg.model import Space, Structure
 
 EQ2_TEXT = "universe 2\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -171,7 +171,7 @@ def test_embed_failure(tmp_path, capsys):
 def test_selftest(capsys):
     code, out = run(capsys, ["selftest"])
     assert code == 0
-    assert out.out.splitlines()[-1] == "41/41 passed"
+    assert out.out.splitlines()[-1] == "37/37 passed"
 
 
 def test_usage_errors_exit_one(capsys):
@@ -218,8 +218,9 @@ def k3(tmp_path):
 
 
 def test_team_commands_above_meaning_guard(k3, capsys):
-    """Count 27: truth reads the game antichains and eval recurses on the
-    one team it is given; neither builds the algebra."""
+    """Count 27: truth reads the game antichains over the full team and
+    eval those over the valuations its team reaches; neither builds the
+    algebra."""
     argv = ["-s", k3, "-f", "A v0/{} A v1/{} A v2/{} (v0=v0)", "-n", "3"]
     code, out = run(capsys, ["truth"] + argv)
     assert code == 0 and out.out == "true\n"
@@ -261,22 +262,34 @@ def test_game_at_count_27(k3, capsys):
 
 
 def test_game_with_many_single_candidate_groups(k3, capsys):
-    """The \\/ verifier meets 3**9 uniform picks of E v1/{0} against one
-    right entry, each its own group: the reduction across them reads an
-    inverted index instead of testing every pair."""
+    """On the full team the \\/ verifier meets 3**9 uniform picks of
+    E v1/{0} against one right entry, each its own group: the reduction
+    across them reads an inverted index instead of testing every pair."""
+    text = "(E v1/{0} (v0=v1) \\/{} A v2/{1} ~(v0=v2))"
+    full = ",".join("".join(d) for d in itertools.product("012", repeat=3))
+    code, out = run(capsys, ["game", "-s", k3, "-f", text, "-n", "3",
+                             "--team", full, "--player", "1"])
+    assert code == 0 and out.out == "no winning strategy for player 1\n"
+
+
+def test_game_strategy_on_the_classes_a_team_reaches(k3, capsys):
+    """From 000,111,222 plays meet three ~{} classes at the \\/ and three
+    ~{0} classes at the E: the strategy moves on those alone."""
     text = "(E v1/{0} (v0=v1) \\/{} A v2/{1} ~(v0=v2))"
     code, out = run(capsys, ["game", "-s", k3, "-f", text, "-n", "3",
                              "--team", "000,111,222", "--player", "1"])
     assert code == 0
-    classes = ["".join(d) for d in itertools.product("012", repeat=3)]
-    assert out.out.splitlines() == (
-        ["winning strategy for player 1"]
-        + ["pos=- class=%s -> left" % c for c in classes]
-        + ["pos=1 class=*00 -> 0", "pos=1 class=*01 -> 0",
-           "pos=1 class=*02 -> 0", "pos=1 class=*10 -> 0",
-           "pos=1 class=*11 -> 1", "pos=1 class=*12 -> 0",
-           "pos=1 class=*20 -> 0", "pos=1 class=*21 -> 0",
-           "pos=1 class=*22 -> 2"])
+    assert out.out.splitlines() == [
+        "winning strategy for player 1",
+        "pos=- class=000 -> left", "pos=- class=111 -> left",
+        "pos=- class=222 -> left",
+        "pos=1 class=*00 -> 0", "pos=1 class=*11 -> 1",
+        "pos=1 class=*22 -> 2"]
+    analyzer = games.GameAnalyzer(Structure(3), 3)
+    formula = syntax.parse(text, 3)
+    team = analyzer.space.parse_team("000,111,222")
+    won, strategy = analyzer.has_winning_strategy(formula, team, 1)
+    assert won and analyzer.verify_strategy(formula, team, strategy)
 
 
 def test_truth_search_guard_exits_two(tmp_path, capsys):
@@ -377,3 +390,77 @@ def test_class_table_limit_exits_two(tmp_path):
         assert err == ("error: the ~J classes for J = {} need %d masks of %d "
                        "bits, above the limit of %d bits\n"
                        % (1 << nvars, 1 << nvars, 1 << 30))
+
+
+def test_class_tables_refused_before_any_atom_mask(tmp_path, capsys):
+    """At N=18 the atom masks alone once took 2 s before the first class
+    table was refused; the tables are checked when the query starts."""
+    path = tmp_path / "u2.ifgs"
+    path.write_text("universe 2\n")
+    start = time.perf_counter()
+    code, out = run(capsys, ["truth", "-s", str(path), "-f",
+                             "A v0/{} E v1/{0} (v0=v1 \\/{} ~v1=v0)",
+                             "-n", "18"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and "the ~J classes for J = {}" in out.err
+
+
+def _all_valuations(size, nvars):
+    return ",".join("".join(d) for d in itertools.product(
+        "0123456789"[:size], repeat=nvars))
+
+
+def test_eval_inputs_that_hung_answer_in_seconds(tmp_path):
+    """eval on these ran past 20-30 s on the per-team recursion."""
+    cases = [(3, 3, "A v0/{} E v1/{} (v0=v1)", "+ yes\n- no\n"),
+             (4, 2, "~E v1/{} ~E v1/{} ~v0=v1", "+ yes\n- no\n"),
+             (4, 3, "A v0/{} E v1/{0} (v0=v1)", "+ no\n- no\n")]
+    for size, nvars, text, verdicts in cases:
+        path = tmp_path / ("k%d.ifgs" % size)
+        path.write_text("universe %d\n" % size)
+        argv = ["eval", "-s", str(path), "-f", text, "-n", str(nvars),
+                "--team", _all_valuations(size, nvars)]
+        start = time.perf_counter()
+        code, out, err = run_process(argv, timeout=5)
+        assert time.perf_counter() - start < 5
+        assert code in (0, 2) and "Traceback" not in err
+        assert out == verdicts if code == 0 else (
+            "strategy search space too large" in err)
+    # the verdicts of the first two are those of the full-team search
+    for size, nvars, text, verdicts in cases[:2]:
+        formula = syntax.parse(text, nvars)
+        full = Space(size, nvars).full_team
+        want = "".join("%s %s\n" % (sign, "yes" if games.has_winning_strategy(
+            Structure(size), formula, full, player)[0] else "no")
+            for sign, player in (("+", 1), ("-", 0)))
+        assert want == verdicts
+
+
+def test_pennies_from_one_valuation(tmp_path):
+    """At K=4, N=3 the search over every valuation meets 4**16 picks at
+    E v1/{0}; from 000 plays reach one ~{0} class of four options."""
+    path = tmp_path / "k4.ifgs"
+    path.write_text("universe 4\n")
+    argv = ["-s", str(path), "-f", "A v0/{} E v1/{0} (v0=v1)", "-n", "3",
+            "--team", "000"]
+    for player in (1, 0):
+        code, out, err = run_process(["game"] + argv
+                                     + ["--player", str(player)], timeout=5)
+        assert (code, out) == (0, "no winning strategy for player %d\n"
+                               % player)
+    code, out, err = run_process(["eval"] + argv, timeout=5)
+    assert (code, out) == (0, "+ no\n- no\n")
+
+
+def test_eval_prints_no_verdict_when_one_is_refused(tmp_path, capsys):
+    """Player 1's search needs only small ~J tables, player 0's the
+    table of J = {} over 2**16 valuations: eval exits 2 with neither
+    verdict, not with + alone."""
+    path = tmp_path / "u2.ifgs"
+    path.write_text("universe 2\n")
+    slashed = ",".join(str(k) for k in range(16) if k != 1)
+    code, out = run(capsys, ["eval", "-s", str(path), "-f",
+                             "A v0/{} E v1/{%s} (v0=v1)" % slashed,
+                             "-n", "16", "--team", "0" * 16])
+    assert code == 2 and out.out == ""
+    assert "the ~J classes for J = {}" in out.err

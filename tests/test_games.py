@@ -7,6 +7,7 @@ import classical
 from ifg import syntax, trump, games
 from ifg.errors import IfgError
 from ifg.model import Structure, Space, bits, eval_atomic
+from teamsem import TeamSemantics
 
 from test_acceptance import REL2, depth_three_nodes
 from test_syntax import ATOMS, nodes, signature
@@ -77,7 +78,7 @@ def test_signaling_through_an_extra_variable():
 
 def test_agreement_with_trump_semantics():
     ga = games.GameAnalyzer(EQ2, 2)
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     for text in SAMPLE_TEXTS:
         f = syntax.parse(text, 2)
         for team in range(1 << ga.space.count):
@@ -316,24 +317,26 @@ def _ref_reachable_positions(ga, formula, team):
     return seen
 
 
-ATOMS2 = [syntax.Eq(syntax.Var(i), syntax.Var(j))
-          for i in range(2) for j in range(2)]
-ATOMS2 += [syntax.Rel("R", (syntax.Var(0),)),
-           syntax.Rel("S", (syntax.Var(0), syntax.Var(1)))]
+def _atoms(nvars):
+    """Equalities between variables, then R(v0) and S(v0,v1)."""
+    V = syntax.Var
+    return ([syntax.Eq(V(i), V(j)) for i in range(nvars) for j in range(nvars)]
+            + [syntax.Rel("R", (V(0),)), syntax.Rel("S", (V(0), V(1)))])
 
 
-def _random_node(rng, depth):
-    """A random formula node over v0, v1 of height at most depth."""
+def _random_node(rng, depth, nvars=2):
+    """A random formula node over v0..v(nvars-1) of height at most depth."""
     if depth == 1 or rng.random() < 0.2:
-        return syntax.atomic(rng.choice(ATOMS2))
-    jset = frozenset(i for i in range(2) if rng.random() < 0.4)
+        return syntax.atomic(rng.choice(_atoms(nvars)))
+    jset = frozenset(i for i in range(nvars) if rng.random() < 0.4)
     kind = rng.randrange(3)
     if kind == 0:
-        return syntax.negate(_random_node(rng, depth - 1))
+        return syntax.negate(_random_node(rng, depth - 1, nvars))
     if kind == 1:
-        return syntax.disj(jset, _random_node(rng, depth - 1),
-                           _random_node(rng, depth - 1))
-    return syntax.exists(rng.randrange(2), jset, _random_node(rng, depth - 1))
+        return syntax.disj(jset, _random_node(rng, depth - 1, nvars),
+                           _random_node(rng, depth - 1, nvars))
+    return syntax.exists(rng.randrange(nvars), jset,
+                         _random_node(rng, depth - 1, nvars))
 
 
 def _random_strategy(ga, formula, owner, rng):
@@ -519,13 +522,53 @@ def test_antichain_matches_full_reduction(monkeypatch):
     """Sorting a single group instead of reducing it changes no entry."""
     pool = depth_three_nodes()
     ga = games.GameAnalyzer(REL2, 2)
+    team = ga.space.full_team
     want = {}
     with monkeypatch.context() as patch:
         patch.setattr(games, "_maximal", _full_reduction)
         full = games.GameAnalyzer(REL2, 2)
         for node in pool:
             for myturn in (True, False):
-                want[node.uid, myturn] = full.antichain(node, myturn)
+                want[node.uid, myturn] = full.antichain(node, myturn, team)
     for node in pool:
         for myturn in (True, False):
-            assert ga.antichain(node, myturn) == want[node.uid, myturn]
+            assert ga.antichain(node, myturn, team) == want[node.uid, myturn]
+
+
+# -- the team-relative search against the per-team recursion -------------------
+
+
+# (K, N, formula height, most valuations in a team), fixed before any run:
+# the recursion tries every function from the team's ~J classes, so at
+# count 16 the teams are kept small.
+ORACLE_SHAPES = [(2, 2, 5, 4), (3, 2, 4, 9), (2, 3, 5, 8), (2, 4, 5, 5),
+                 (4, 2, 4, 3)]
+
+
+@pytest.mark.parametrize("size,nvars,height,most", ORACLE_SHAPES)
+def test_search_from_a_team_matches_the_recursion(size, nvars, height, most):
+    """Every verdict of the search from a team equals the recursion's, and
+    every winning strategy it extracts, and its dual on the negation,
+    passes verify_strategy."""
+    rng = random.Random(size * 100 + nvars)
+    structure = signature(size)
+    ga = games.GameAnalyzer(structure, nvars)
+    oracle = TeamSemantics(structure, nvars)
+    count = ga.space.count
+    verdicts = set()
+    for _ in range(100):
+        f = syntax.Formula(_random_node(rng, height, nvars), nvars)
+        neg = syntax.Formula(syntax.negate(f.root), nvars)
+        for _ in range(4):
+            members = rng.sample(range(count), rng.randint(1, most))
+            team = sum(1 << v for v in members)
+            for player in (1, 0):
+                won, strategy = ga.has_winning_strategy(f, team, player)
+                assert won == oracle.satisfies(f, team, player == 1)
+                assert ga.wins(f, team, player) == won
+                verdicts.add(won)
+                if won:
+                    assert ga.verify_strategy(f, team, strategy)
+                    assert ga.verify_strategy(neg, team,
+                                              games.dualize(strategy))
+    assert verdicts == {True, False}

@@ -1,7 +1,8 @@
 """The module layering model -> downsets -> algebra -> trump, and games
-beside it on model alone; what the command line loads; no assert
-statement in the package; no loop over every team in the algebra and its
-kernels; and the choice of kernel left to downsets.
+beside it on model alone; what the command line loads (truth and eval
+the game search only); no assert statement in the package; no loop over
+every team in the algebra and its kernels; and the choice of kernel left
+to downsets.
 
 Each module is imported in a fresh interpreter, which must not load any
 module above it in that order.  The game search must load none of
@@ -58,16 +59,27 @@ def test_cli_loads_only_what_the_parser_needs():
     assert not (loaded_by("ifg.cli") - bare) & NOT_AT_START
 
 
-def test_truth_loads_only_the_game_search(tmp_path):
+def _loaded_by_command(tmp_path, argv):
     path = tmp_path / "eq2.ifgs"
     path.write_text("universe 2\n")
-    loaded = loaded_after(
+    return loaded_after(
         "from ifg import cli\n"
-        "code = cli.main(['truth', '-s', %r, '-f', 'A v0/{} E v1/{0} (v0=v1)',"
+        "code = cli.main(%r + ['-s', %r, '-f', 'A v0/{} E v1/{0} (v0=v1)',"
         " '-n', '2'])\n"
-        "if code: sys.exit(code)" % str(path))
+        "if code: sys.exit(code)" % (argv, str(path)))
+
+
+def test_truth_loads_only_the_game_search(tmp_path):
+    loaded = _loaded_by_command(tmp_path, ["truth"])
     assert "ifg.games" in loaded
     assert not loaded & {m for m in NOT_AT_START if m.startswith("ifg.")}
+
+
+def test_eval_loads_only_the_game_search(tmp_path):
+    """eval answers from the game search too, and loads none of the fold."""
+    loaded = _loaded_by_command(tmp_path, ["eval", "--team", "00,11"])
+    assert "ifg.games" in loaded
+    assert not loaded & {"ifg.trump", "ifg.algebra", "ifg.downsets"}
 
 
 def test_package_loads_no_dataclasses_or_typing():

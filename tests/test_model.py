@@ -9,8 +9,10 @@ from ifg.downsets import Downsets
 from ifg.errors import IfgError, ParseError, GuardExceeded
 from ifg.model import (Structure, Space, SPACE_LIMIT, eval_term, eval_atomic,
                        bits)
+from teamsem import OracleSpace
 
-SP = Space(2, 2)
+# a Space with the primitives of the per-team recursion (tests/teamsem.py)
+SP = OracleSpace(2, 2)
 JSETS = [frozenset(s) for s in ({}, {0}, {1}, {0, 1})]
 
 
@@ -114,7 +116,7 @@ def test_space_limit():
 
 
 def test_agree_outside_is_equivalence():
-    sp = Space(3, 2)
+    sp = OracleSpace(3, 2)
     for jset in JSETS:
         for i in range(sp.count):
             assert sp.agree_outside(i, i, jset)
@@ -242,6 +244,21 @@ def test_splits_restrict_to_subteams():
 
 
 # -- independent functions ----------------------------------------------------------
+
+
+def test_oracle_primitives_worked_examples():
+    """The empty team has the one empty function; with every variable
+    slashed a function is constant and a saturated split puts the whole
+    team on one side; with every variable slashed any two valuations
+    agree."""
+    full, everything = SP.full_team, frozenset({0, 1})
+    assert list(SP.independent_functions(0, frozenset({0}))) == [([], ())]
+    fns = list(SP.independent_functions(full, everything))
+    assert sorted(values for _, values in fns) == [(0,), (1,)]
+    assert set(SP.saturated_splits(full, everything)) == {(full, 0),
+                                                          (0, full)}
+    assert all(SP.agree_outside(i, j, everything)
+               for i in range(SP.count) for j in range(SP.count))
 
 
 def test_independent_functions_shape():

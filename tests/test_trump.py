@@ -5,6 +5,7 @@ from ifg import cli, games, syntax, trump
 from ifg.downsets import Downsets
 from ifg.errors import IfgError, GuardExceeded
 from ifg.model import Structure, Space, bits
+from teamsem import TeamSemantics
 
 from test_syntax import nodes, signature
 
@@ -30,11 +31,11 @@ def sample_formulas():
     return [syntax.parse(t, 2) for t in SAMPLE_TEXTS]
 
 
-# -- clause behaviour -----------------------------------------------------------
+# -- clause behaviour, on the per-team recursion of tests/teamsem.py -------------
 
 
 def test_atomic_clause():
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     f = syntax.parse("v0=v1", 2)
     diag = ev.space.parse_team("00,11")
     assert ev.satisfies(f, diag, True)
@@ -43,7 +44,7 @@ def test_atomic_clause():
 
 
 def test_negation_swaps_signs():
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     f = syntax.parse("v0=v1", 2)
     g = syntax.parse("~(v0=v1)", 2)
     for team in range(1 << ev.space.count):
@@ -52,7 +53,7 @@ def test_negation_swaps_signs():
 
 
 def test_disjunction_slash_matters():
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     full = ev.space.full_team
     assert ev.satisfies(syntax.parse("(v0=v1 \\/{} ~(v0=v1))", 2), full, True)
     loose = syntax.parse("(v0=v1 \\/{0,1} ~(v0=v1))", 2)
@@ -61,7 +62,7 @@ def test_disjunction_slash_matters():
 
 
 def test_quantifier_slash_matters():
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     full = ev.space.full_team
     assert ev.satisfies(syntax.parse("E v1/{} (v0=v1)", 2), full, True)
     assert not ev.satisfies(syntax.parse("E v1/{0} (v0=v1)", 2), full, True)
@@ -71,7 +72,7 @@ def test_quantifier_slash_matters():
 
 
 def test_empty_team_satisfies_everything():
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     for f in sample_formulas():
         assert ev.satisfies(f, 0, True) and ev.satisfies(f, 0, False)
 
@@ -99,7 +100,7 @@ def test_double_negation():
 
 
 def test_sentence_truth_spreads_to_all_teams():
-    ev = trump.Evaluator(EQ2, 2)
+    ev = TeamSemantics(EQ2, 2)
     for f in sample_formulas():
         if not f.is_sentence():
             continue
@@ -116,8 +117,8 @@ def test_padding_adds_a_dummy_variable():
     for text in texts:
         f1 = syntax.parse(text, 1)
         f2 = syntax.parse(text, 2)
-        ev1 = trump.Evaluator(CONST2, 1)
-        ev2 = trump.Evaluator(CONST2, 2)
+        ev1 = TeamSemantics(CONST2, 1)
+        ev2 = TeamSemantics(CONST2, 2)
         for team in range(1 << small.count):
             padded = 0
             for i in range(big.count):
@@ -155,30 +156,32 @@ BULK_CASES = [
 ]
 
 
-def _assert_bulk_matches(ev, node):
+def _assert_bulk_matches(structure, nvars, node):
+    ev = trump.Evaluator(structure, nvars)
+    oracle = TeamSemantics(structure, nvars)
     for sign in (True, False):
         mask = ev.winning_mask(node, sign)
         for team in range(1 << ev.space.count):
-            assert (mask >> team & 1) == ev.satisfies(node, team, sign)
+            assert (mask >> team & 1) == oracle.satisfies(node, team, sign)
 
 
 def test_bulk_matches_per_team():
     for structure, nvars, texts in BULK_CASES:
-        ev = trump.Evaluator(structure, nvars)
         for text in texts:
-            _assert_bulk_matches(ev, syntax.parse(text, nvars).root)
+            _assert_bulk_matches(structure, nvars,
+                                 syntax.parse(text, nvars).root)
 
 
 @settings(max_examples=60, deadline=None)
 @given(nodes.filter(lambda n: n.height <= 4))
 def test_bulk_matches_per_team_count8_random(node):
-    _assert_bulk_matches(trump.Evaluator(signature(2), 3), node)
+    _assert_bulk_matches(signature(2), 3, node)
 
 
 @settings(max_examples=20, deadline=None)
 @given(nodes.filter(lambda n: n.height <= 4 and n.maxindex < 2))
 def test_bulk_matches_per_team_count9_random(node):
-    _assert_bulk_matches(trump.Evaluator(signature(3), 2), node)
+    _assert_bulk_matches(signature(3), 2, node)
 
 
 def test_bulk_matches_games_at_count_16(tmp_path, capsys):
@@ -265,15 +268,13 @@ def test_meaning_guard():
 
 
 def test_dimension_mismatch():
-    ev = trump.Evaluator(EQ2, 2)
+    oracle = TeamSemantics(EQ2, 2)
     with pytest.raises(IfgError):
-        ev.satisfies(syntax.parse("v0=v0", 1), 0, True)
+        oracle.satisfies(syntax.parse("v0=v0", 1), 0, True)
     # every public entry checks, the wider formula or node included
     ev = trump.Evaluator(EQ2, 1)
     wide = syntax.parse("E v1/{} (v1=v1)", 2)
-    entries = [lambda f: ev.satisfies(f, 1, True),
-               lambda f: ev.winning_mask(f, True),
-               ev.element, ev.meaning]
+    entries = [lambda f: ev.winning_mask(f, True), ev.element, ev.meaning]
     for entry in entries:
         with pytest.raises(IfgError, match="formula has 2 variables"):
             entry(wide)
@@ -282,5 +283,5 @@ def test_dimension_mismatch():
     # a bare node needs only its indices to fit
     narrow = syntax.parse("E v0/{} (v0=v0)", 1).root
     two = trump.Evaluator(EQ2, 2)
-    assert two.satisfies(narrow, two.space.full_team, True)
+    assert two.winning_mask(narrow, True) >> two.space.full_team & 1
     assert two.winning_mask(narrow, True) == two.element(narrow).plus
