@@ -27,8 +27,9 @@ from collections import namedtuple
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
-from .model import Space, Structure, atom_mask, bits, eval_atomic
-from .downsets import Downsets, MEANING_GUARD
+from .model import (MEANING_GUARD, Space, Structure, atom_mask, bits,
+                    eval_atomic)
+from .downsets import Downsets
 
 GENERATION_CAP = 20000
 

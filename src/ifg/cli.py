@@ -200,9 +200,9 @@ def cmd_monadic(args):
     from . import finlat
     alg = finlat.FinAlgebra.from_file(args.file)
     if args.action == "classify":
-        print("carrier %d" % alg.size)
         if alg.nabla is None:
             raise IfgError("algebra file has no quantifier table")
+        print("carrier %d" % alg.size)
         failed = finlat.check_quantifier(alg)
         print("axioms: %s" % ("pass" if not failed else
                               "fail " + ",".join(failed)))

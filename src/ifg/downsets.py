@@ -31,9 +31,7 @@ the whole-mask primitive the game search uses too.
 from math import prod
 
 from .errors import GuardExceeded
-from .model import bits, powerset
-
-MEANING_GUARD = 20   # most valuations of a context; bounds table sizes too
+from .model import MEANING_GUARD, bits, powerset
 
 
 def _hi_mask(i, nbits):
@@ -107,7 +105,7 @@ class Downsets:
         key = (jset, family)
         out = self._parts.get(key)
         if out is None:
-            classes, _ = self.space.classes(jset)
+            classes = self.space.classes(jset)
             out = [[powerset(team & c) for c in classes]
                    for team in self.maximal(family)]
             self._parts[key] = out
@@ -163,7 +161,7 @@ class Downsets:
         fits in the preimage of W under one value b: the team set
         prod_c (union_b powerset(pre_b(W) & c)).
         """
-        classes, _ = self.space.classes(jset)
+        classes = self.space.classes(jset)
         out = 0
         for w in self.maximal(child):
             pres = set(self.space.preimages(w, n))
@@ -182,7 +180,7 @@ class Downsets:
         if out is None:
             full = self.space.full_team
             out = self._outside[jset] = [powerset(full & ~c)
-                                         for c in self.space.classes(jset)[0]]
+                                         for c in self.space.classes(jset)]
         return out
 
     def sum_split(self, jset, left, right):
@@ -219,7 +217,7 @@ class Downsets:
         if out is None:
             lines = frozenset((n,))
             out = child
-            for line, miss in zip(self.space.classes(lines)[0],
+            for line, miss in zip(self.space.classes(lines),
                                   self.outside(lines)):
                 keep, out, part = out >> line & miss, out & miss, line
                 while part:   # each nonempty part of the line
@@ -246,9 +244,9 @@ class Downsets:
                     "C_%d,%s needs %d team-variant pairs (limit %d)"
                     % (n, sorted(jset), pairs, 1 << MEANING_GUARD))
             space = self.space
-            classes = space.classes(jset)[0]
+            classes = space.classes(jset)
             tables = []
-            for block in space.classes(jset | {n})[0]:
+            for block in space.classes(jset | {n}):
                 table = {0: [0]}
                 for c in classes:
                     if c & block:
@@ -279,5 +277,5 @@ class Downsets:
         the sum over the blocks of the product over their ~J classes c of
         1 + K * (2**|c| - 1)."""
         return sum(prod(1 + self.space.size * ((1 << c.bit_count()) - 1)
-                        for c in self.space.classes(jset)[0] if c & block)
-                   for block in self.space.classes(jset | {n})[0])
+                        for c in self.space.classes(jset) if c & block)
+                   for block in self.space.classes(jset | {n}))

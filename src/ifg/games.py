@@ -4,7 +4,8 @@ A position is (subformula position, valuation index, verifier bit); the
 subformula positions are numbered by `syntax.children`.  A strategy for a
 player maps information sets to moves, where an information set is a
 disjunction/quantifier position together with an equivalence class of
-valuations agreeing outside that node's slash set; keying moves by class
+valuations agreeing outside that node's slash set.  A class is named by
+its lowest valuation, the one with its J digits 0; keying moves by class
 makes uniformity structural.
 
 The rules of the game are stated once, in `GameAnalyzer._moves`: the
@@ -19,18 +20,23 @@ verifier here", reach R), the antichain of maximal sets W inside R such
 that one fixed uniform strategy on that subtree wins from every start in W.
 R holds the valuations at which plays from the asked team can be at the
 node: the team at the root, passed on unchanged by ~ and \\/, and by E v_n
-as the union of the n-lines it meets.  Uniformity binds only positions that
-plays visit, so the clauses look only at the ~J classes that meet R, each
-cut down to R.  The team then has a winning strategy iff it is itself an
-entry of the root antichain.  Each entry records how it was composed from
-child entries, which yields a concrete witness strategy on the classes
-plays meet.  On the full team every reach is the full team: a sentence is
-true (false) when player 1 (0) wins from it, and `truth_value` answers so
-at every valuation count, within SEARCH_GUARD.  The search answers `ifg
-truth`, `game` and `eval`, and before it builds any mask it refuses a ~J
-class table too large for `Space.check_classes`.
+as the union of the n-lines it meets.  \\/_J and E v_n/J are one kind of
+node: per pick of one entry from each child antichain, the options are
+(valuations, move) pairs, the two entries of \\/ or the preimages of an
+entry under each value of v_n.  The searched player picks one option per
+~J class (`_verifier`), the other must win every option (`_opponent`).
+Uniformity binds only positions that plays visit, so `_verifier` cuts
+only the ~J classes that meet R (`Space.parts`).  The team then has a
+winning strategy iff it is itself an entry of the root antichain.  Each
+entry records how it was composed from child entries, which yields a
+concrete witness strategy on the classes plays meet.  On the full team
+every reach is the full team: a sentence is true (false) when player 1
+(0) wins from it, and `truth_value` answers so at every valuation count,
+within SEARCH_GUARD.  The search answers `ifg truth`, `game` and `eval`,
+and before it builds any mask it refuses, through `Space.check_classes`,
+too many ~J classes met where the searched player moves.
 
-The E clauses read a child entry's variations through `Space.preimages`,
+The E options read a child entry's variations through `Space.preimages`,
 the whole-mask primitive the `downsets` kernels use too.  The module
 imports neither those kernels nor `algebra` or `trump`, so the tests that
 compare the search with the fold compare two independent computations;
@@ -43,7 +49,8 @@ from math import prod
 
 from .errors import IfgError, GuardExceeded
 from . import syntax
-from .model import Space, atom_mask, eval_atomic, bits
+from .model import (CLASS_TABLE_LIMIT, MEANING_GUARD, Space, atom_mask,
+                    eval_atomic, bits)
 
 SEARCH_GUARD = 1 << 24
 
@@ -53,17 +60,15 @@ class Strategy:
 
     def __init__(self, owner):
         self.owner = owner
-        self.moves = {}   # (pos, class id under the node's slash set) -> move
+        self.moves = {}   # (pos, lowest valuation of the ~J class) -> move
         self.table = []   # (pos, class repr string, move string)
 
-    def add(self, space, pos, jset, cid, move):
-        self.moves[(pos, cid)] = move
-        masks, _ = space.classes(jset)
-        rep = bits(masks[cid])[0] if masks[cid] else 0
+    def add(self, space, pos, jset, rep, move):
+        self.moves[(pos, rep)] = move
         self.table.append((pos, space.class_repr(rep, jset), str(move)))
 
-    def move_at(self, pos, cid):
-        key = (pos, cid)
+    def move_at(self, pos, rep):
+        key = (pos, rep)
         if key not in self.moves:
             raise IfgError("strategy undefined at position %s" % pos_str(pos))
         return self.moves[key]
@@ -111,88 +116,82 @@ class GameAnalyzer:
         if isinstance(node, syntax.Not):
             child = self.antichain(node.child, not myturn, below)
             return [(w, (ci,)) for ci, (w, _) in enumerate(child)]
-        elif isinstance(node, syntax.Or):
-            wl = [w for w, _ in self.antichain(node.left, myturn, below)]
-            wr = [w for w, _ in self.antichain(node.right, myturn, below)]
-            if myturn:
-                return self._or_verifier(node.jset, reach, wl, wr)
-            return self._or_opponent(wl, wr)
-        elif isinstance(node, syntax.Exists):
-            wc = [w for w, _ in self.antichain(node.child, myturn, below)]
-            if myturn:
-                return self._exists_verifier(node.n, node.jset, reach, wc)
-            return self._exists_opponent(node.n, reach, wc)
-        else:
-            raise IfgError("not a formula node: %r" % (node,))
+        kids = [self.antichain(child, myturn, below)
+                for _, child in syntax.children(node)]
+
+        def combos():   # (child entry indices, the (valuations, move) options)
+            for picks in product(*map(range, map(len, kids))):
+                ws = [kid[ci][0] for kid, ci in zip(kids, picks)]
+                if isinstance(node, syntax.Or):
+                    yield picks, [(ws[0], "left"), (ws[1], "right")]
+                else:
+                    yield picks, list(zip(self.space.preimages(ws[0], node.n),
+                                          range(self.space.size)))
+        if myturn:
+            return self._verifier(node.jset, reach, combos(),
+                                  prod(map(len, kids)))
+        return self._opponent(reach, combos())
 
     def _below(self, node, reach):
-        """The reach of node's children, given node's reach.  The full team
-        holds every variation of its valuations, so it is its own."""
-        if isinstance(node, syntax.Exists) and reach != self.space.full_team:
+        """The reach of node's children, given node's reach."""
+        if isinstance(node, syntax.Exists):
             return self.space.variant_team_all(reach, node.n)
         return reach
 
-    def _met(self, jset, reach):
-        """The ~J classes that meet reach: their ids and their parts in it.
-        The full team meets every class and holds it whole."""
-        masks, _ = self.space.classes(jset)
-        if reach == self.space.full_team:
-            return range(len(masks)), masks
-        ids = [cid for cid, cls in enumerate(masks) if cls & reach]
-        return ids, [masks[cid] & reach for cid in ids]
-
-    def _or_verifier(self, jset, reach, wl, wr):
-        _, parts = self._met(jset, reach)
+    def _verifier(self, jset, reach, combos, ngroups):
+        """Per ~J class that meets reach, the searched player picks an option
+        no other there contains; `_uniform_picks` guards all ngroups combos."""
+        parts = self.space.parts(jset, reach)
         groups = []
-        for li, l in enumerate(wl):
-            for ri, r in enumerate(wr):
-                per_class = []
-                for cls in parts:
-                    a, b = cls & l, cls & r
-                    if b & ~a == 0:
-                        per_class.append(((a, "left"),))
-                    elif a & ~b == 0:
-                        per_class.append(((b, "right"),))
-                    else:
-                        per_class.append(((a, "left"), (b, "right")))
-                groups.append([(w, (li, ri, moves)) for w, moves in
-                               _uniform_picks(per_class, len(wl) * len(wr))])
-        return _maximal(groups)
-
-    def _or_opponent(self, wl, wr):
-        return _maximal([[(l & r, (li, ri))] for li, l in enumerate(wl)
-                         for ri, r in enumerate(wr)])
-
-    def _exists_verifier(self, n, jset, reach, wc):
-        _, parts = self._met(jset, reach)
-        groups = []
-        for ci, target in enumerate(wc):
-            pres = self.space.preimages(target, n)
+        for picks, options in combos:
             per_class = []
             for cls in parts:
-                options = {}
-                for b, pre in enumerate(pres):
-                    options.setdefault(pre & cls, b)
-                # options of one class may contain each other: reduce
-                per_class.append(_maximal([[o] for o in options.items()]))
-            groups.append([(w, (ci, values)) for w, values in
-                           _uniform_picks(per_class, len(wc))])
+                kept = []
+                for w, move in options:
+                    a = w & cls
+                    for b, _ in kept:
+                        if a & ~b == 0:
+                            break
+                    else:
+                        if kept:   # drop the kept options inside a
+                            kept = [(b, m) for b, m in kept if b & ~a]
+                        kept.append((a, move))
+                per_class.append(kept)
+            groups.append([(w, picks + (moves,)) for w, moves in
+                           _uniform_picks(per_class, ngroups)])
         return _maximal(groups)
 
-    def _exists_opponent(self, n, reach, wc):
+    def _opponent(self, reach, combos):
+        """The other player moves: every option must be won."""
         groups = []
-        for ci, target in enumerate(wc):
+        for picks, options in combos:
             w = reach
-            for pre in self.space.preimages(target, n):
-                w &= pre
-            groups.append([(w, (ci,))])
+            for s, _ in options:
+                w &= s
+            groups.append([(w, picks)])
         return _maximal(groups)
 
-    def _root(self, formula, myturn):
+    def _root(self, formula, myturn, reach):
         """The checked root of formula, once `Space.check_classes` passes
-        the slash sets whose class tables the search will build."""
+        the ~J classes met where the searched player moves, in the order
+        the search meets them.  A reach meets at most count classes, so
+        while count**2 bits fit, nothing is walked."""
         root = syntax.checked_root(formula, self.nvars)
-        self.space.check_classes(_slash_sets(root, myturn, set()))
+        seen = set()
+
+        def check(node, myturn, reach):
+            if (node.uid, myturn, reach) not in seen:
+                seen.add((node.uid, myturn, reach))
+                turn = not myturn if isinstance(node, syntax.Not) else myturn
+                below = self._below(node, reach)
+                for _, child in syntax.children(node):
+                    check(child, turn, below)
+                if myturn and isinstance(node, (syntax.Or, syntax.Exists)):
+                    self.space.check_classes(
+                        node.jset, self.space.lowest(reach, node.jset))
+
+        if self.space.count ** 2 > CLASS_TABLE_LIMIT:
+            check(root, myturn, reach)
         return root
 
     # -- winning strategies ----------------------------------------------------
@@ -211,7 +210,10 @@ class GameAnalyzer:
     def winning_mask(self, formula, player):
         """Bitmask over all teams V from which the player wins (count small)."""
         full = self.space.full_team
-        node = self._root(formula, player == 1)
+        if self.space.count > MEANING_GUARD:
+            raise GuardExceeded("team enumeration needs %d valuations (limit "
+                                "%d)" % (self.space.count, MEANING_GUARD))
+        node = self._root(formula, player == 1, full)
         mask = 1
         for w, _ in self.antichain(node, player == 1, full):
             mask |= self.space.powerset_mask(w)
@@ -237,7 +239,7 @@ class GameAnalyzer:
         Every entry lies inside the root's reach, the team, so the player
         wins from the team exactly when it is an entry itself.
         """
-        node = self._root(formula, player == 1)
+        node = self._root(formula, player == 1, team)
         ant = self.antichain(node, player == 1, team)
         for idx, (w, _) in enumerate(ant):
             if w == team:
@@ -254,9 +256,9 @@ class GameAnalyzer:
             myturn = not myturn
         elif myturn and not isinstance(node, syntax.Atomic):
             *picks, moves = picks
-            ids, _ = self._met(node.jset, reach)
-            for cid, move in zip(ids, moves):
-                strategy.add(self.space, pos, node.jset, cid, move)
+            reps = bits(self.space.lowest(reach, node.jset))
+            for rep, move in zip(reps, moves):
+                strategy.add(self.space, pos, node.jset, rep, move)
         below = self._below(node, reach)
         for (step, child), ci in zip(syntax.children(node), picks):
             self._extract(child, pos + (step,), myturn, below,
@@ -279,8 +281,8 @@ class GameAnalyzer:
             return []
         move = None
         if strategy is not None and strategy.owner == eps:
-            _, class_of = self.space.classes(node.jset)
-            move = strategy.move_at(pos, class_of[val])
+            rep = self.space.lowest(1 << val, node.jset).bit_length() - 1
+            move = strategy.move_at(pos, rep)
         if isinstance(node, syntax.Or):
             if move is not None:
                 kids = [kids[0] if move == "left" else kids[1]]
@@ -343,18 +345,6 @@ class GameAnalyzer:
         return seen
 
 
-def _slash_sets(node, myturn, seen):
-    """The slash sets of the \\/ and E nodes where the searched player
-    moves, in the order the search builds their ~J class tables."""
-    if (node.uid, myturn) not in seen:
-        seen.add((node.uid, myturn))
-        turn = not myturn if isinstance(node, syntax.Not) else myturn
-        for _, child in syntax.children(node):
-            yield from _slash_sets(child, turn, seen)
-        if myturn and isinstance(node, (syntax.Or, syntax.Exists)):
-            yield node.jset
-
-
 def _maximal(groups):
     """Antichain of the maximal keys of groups of (key, provenance) pairs.
 
@@ -412,8 +402,8 @@ def _uniform_picks(per_class, ngroups):
 def dualize(strategy):
     """The dual strategy: same moves, one negation deeper, other owner."""
     dual = Strategy(1 - strategy.owner)
-    dual.moves = {((0,) + pos, cid): move
-                  for (pos, cid), move in strategy.moves.items()}
+    dual.moves = {((0,) + pos, rep): move
+                  for (pos, rep), move in strategy.moves.items()}
     dual.table = [((0,) + pos, rep, move) for pos, rep, move in strategy.table]
     return dual
 

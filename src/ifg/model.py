@@ -4,17 +4,22 @@ A valuation over N variables with universe size K is encoded as a
 little-endian mixed-radix integer: index = sum of a_i * K**i, so v0 is the
 least significant digit.  A team is an int bitmask over valuation indices.
 Digit-string notation writes a valuation as its digits in variable order,
-so "01" means v0=0, v1=1.
+so "01" means v0=0, v1=1.  The digit slices, n-lines and ~J classes are
+read off this encoding by arithmetic on whole masks, with no loop over
+valuations.
 """
 
 from itertools import compress
+from math import prod
 
 from .errors import IfgError, ParseError, GuardExceeded
 from . import syntax
 
 SPACE_LIMIT = 1 << 18  # most valuations of a Space: masks grow bit by bit
-# most bits of one ~J class table (class count x valuation count): it keeps
-# one full-width mask per class, so with J empty it grows with count**2
+# most valuations of a computation over all 2**count teams
+MEANING_GUARD = 20
+# most bits of the ~J classes one query meets (class count x valuation
+# count): each is a full-width mask, so with J empty they grow with count**2
 CLASS_TABLE_LIMIT = 1 << 30
 
 
@@ -167,7 +172,7 @@ class Space:
             raise GuardExceeded("%d valuations exceed the limit of %d"
                                 % (self.count, SPACE_LIMIT))
         self.full_team = (1 << self.count) - 1
-        self._classes = {}
+        self._classes = {}   # (J, team) -> parts(J, team)
         self._slices = {}    # n -> (digit slice for each value b, repeat)
         self._digits = None
 
@@ -206,43 +211,44 @@ class Space:
 
     # -- equivalence classes of agree-outside-J ------------------------------
 
-    def classes(self, jset):
-        """(class_masks, class_of): the classes of ~J over the full space."""
+    def lowest(self, team, jset):
+        """The lowest valuation of each ~J class that team meets: team with
+        its J digits set to 0.  Variables in J from nvars on are ignored."""
+        for n in jset:
+            if n < self.nvars:
+                team = self.variant_team(team, n, 0)
+        return team
+
+    def parts(self, jset, team):
+        """team cut into the ~J classes it meets, by ascending lowest
+        valuation r: the class of r is that of valuation 0 (all values of
+        the J digits, the product of their repeats) shifted by r."""
         jset = frozenset(jset)
-        cached = self._classes.get(jset)
+        key = (jset, team)
+        cached = self._classes.get(key)
         if cached is None:
-            self.check_classes((jset,))
-            reps = {}
-            masks = []
-            class_of = []
-            for i in range(self.count):
-                val = self.decode(i)
-                key = tuple(val[k] for k in range(self.nvars) if k not in jset)
-                if key not in reps:
-                    reps[key] = len(masks)
-                    masks.append(0)
-                cid = reps[key]
-                masks[cid] |= 1 << i
-                class_of.append(cid)
-            cached = (masks, class_of)
-            self._classes[jset] = cached
+            reps = self.lowest(team, jset)
+            self.check_classes(jset, reps)
+            zero = prod(self._digit_slices(n)[1] for n in jset
+                        if n < self.nvars)
+            cached = self._classes[key] = [zero << r & team
+                                           for r in bits(reps)]
         return cached
 
-    def check_classes(self, jsets):
-        """Refuse, before any is built, the first ~J class table of jsets
-        whose class count times the valuation count exceeds
-        CLASS_TABLE_LIMIT bits.  J empty has the most classes, one per
-        valuation, so while its table fits, jsets is not read."""
-        if self.count * self.count <= CLASS_TABLE_LIMIT:
-            return
-        for jset in jsets:
-            free = sum(1 for k in range(self.nvars) if k not in jset)
-            if self.size ** free * self.count > CLASS_TABLE_LIMIT:
-                raise GuardExceeded(
-                    "the ~J classes for J = {%s} need %d masks of %d bits, "
-                    "above the limit of %d bits"
-                    % (",".join(str(k) for k in sorted(jset)),
-                       self.size ** free, self.count, CLASS_TABLE_LIMIT))
+    def classes(self, jset):
+        """The ~J classes over the full space, by ascending lowest valuation."""
+        return self.parts(jset, self.full_team)
+
+    def check_classes(self, jset, reps):
+        """Refuse the ~J classes of the lowest valuations reps when their
+        count times the valuation count exceeds CLASS_TABLE_LIMIT bits."""
+        met = reps.bit_count()
+        if met * self.count > CLASS_TABLE_LIMIT:
+            raise GuardExceeded(
+                "the ~J classes for J = {%s} need %d masks of %d bits, "
+                "above the limit of %d bits"
+                % (",".join(str(k) for k in sorted(jset)), met, self.count,
+                   CLASS_TABLE_LIMIT))
 
     def class_repr(self, index, jset):
         """Canonical text for the ~J class of a valuation: digits, J starred."""
@@ -313,16 +319,20 @@ class Space:
     # -- variations ----------------------------------------------------------
 
     def _digit_slices(self, n):
-        """(masks of valuations with digit n == b for each b, repeat)."""
+        """(masks of valuations with digit n == b for each b, repeat).
+        Digit n is 0 on the first K**n valuations of each period K**(n+1),
+        whose starts are full_team // (2**period - 1), a geometric series."""
         cached = self._slices.get(n)
         if cached is None:
             stride = self.size ** n
-            masks = [0] * self.size
-            for i in range(self.count):
-                masks[i // stride % self.size] |= 1 << i
+            period = stride * self.size
+            low = (1 << stride) - 1
+            if 0 < period <= self.count:
+                low *= self.full_team // ((1 << period) - 1)
+            masks = [low << (b * stride) & self.full_team
+                     for b in range(self.size)]
             repeat = sum(1 << (b * stride) for b in range(self.size))
-            cached = (masks, repeat)
-            self._slices[n] = cached
+            cached = self._slices[n] = (masks, repeat)
         return cached
 
     def preimages(self, team, n):

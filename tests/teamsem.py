@@ -13,7 +13,7 @@ from itertools import compress, product
 
 from ifg import syntax
 from ifg.errors import IfgError
-from ifg.model import Space, atom_mask
+from ifg.model import Space, atom_mask, bits
 
 
 class OracleSpace(Space):
@@ -24,9 +24,14 @@ class OracleSpace(Space):
         return all(a[k] == b[k] for k in range(self.nvars) if k not in jset)
 
     def team_classes(self, team, jset):
-        """Nonempty intersections of team with the ~J classes, in order."""
-        masks, _ = self.classes(jset)
-        return [m & team for m in masks if m & team]
+        """Nonempty intersections of team with the ~J classes, grouped by
+        the digits outside J, in order of their lowest valuation."""
+        groups = {}
+        for i in bits(team):
+            val = self.decode(i)
+            key = tuple(val[k] for k in range(self.nvars) if k not in jset)
+            groups[key] = groups.get(key, 0) | 1 << i
+        return list(groups.values())
 
     def saturated_splits(self, team, jset):
         """All ordered pairs (V1, V2) with V = V1 union_J V2.

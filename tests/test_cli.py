@@ -149,6 +149,16 @@ def test_monadic_classify(tmp_path, capsys):
     assert "kleene: yes" in lines
 
 
+def test_monadic_classify_refuses_before_printing(tmp_path, capsys):
+    """The Kleene chain without a nabla: section prints nothing, not
+    its carrier line, before the refusal."""
+    path = tmp_path / "kleene.ifga"
+    path.write_text(named_algebra("K_nabla1").render().split("nabla:")[0])
+    code, out = run(capsys, ["monadic", "classify", str(path)])
+    assert (code, out.out) == (1, "")
+    assert out.err == "error: algebra file has no quantifier table\n"
+
+
 def test_monadic_congruences(tmp_path, capsys):
     code, out = run(capsys, ["monadic", "congruences",
                              algebra_file(tmp_path, "B")])
@@ -453,14 +463,55 @@ def test_pennies_from_one_valuation(tmp_path):
 
 
 def test_eval_prints_no_verdict_when_one_is_refused(tmp_path, capsys):
-    """Player 1's search needs only small ~J tables, player 0's the
-    table of J = {} over 2**16 valuations: eval exits 2 with neither
-    verdict, not with + alone."""
+    """At K=3, N=11 the E's take plays from 0...0 to 3**8 valuations by
+    v8.  Player 1 moves on one ~J class at each E (J holds every
+    variable); player 0 moves at the A v8/{}, whose reach meets 3**8
+    classes of J = {}, one mask of 3**11 bits each: eval exits 2 with
+    neither verdict, not with + alone."""
+    path = tmp_path / "u3.ifgs"
+    path.write_text("universe 3\n")
+    every = ",".join(str(k) for k in range(11))
+    text = ("".join("E v%d/{%s} " % (k, every) for k in range(8))
+            + "A v8/{} (v0=v8)")
+    code, out = run(capsys, ["eval", "-s", str(path), "-f", text,
+                             "-n", "11", "--team", "0" * 11])
+    assert code == 2 and out.out == ""
+    assert out.err == ("error: the ~J classes for J = {} need %d masks of %d "
+                       "bits, above the limit of %d bits\n"
+                       % (3 ** 8, 3 ** 11, 1 << 30))
+    analyzer = games.GameAnalyzer(Structure(3), 11)
+    assert analyzer.wins(syntax.parse(text, 11), 1, 1) in (True, False)
+
+
+def test_small_team_in_a_large_space_answers(tmp_path):
+    """From one valuation at N=16 plays meet at most 4 valuations; the
+    search once refused the ~{} classes of the whole space instead."""
     path = tmp_path / "u2.ifgs"
     path.write_text("universe 2\n")
-    slashed = ",".join(str(k) for k in range(16) if k != 1)
-    code, out = run(capsys, ["eval", "-s", str(path), "-f",
-                             "A v0/{} E v1/{%s} (v0=v1)" % slashed,
-                             "-n", "16", "--team", "0" * 16])
-    assert code == 2 and out.out == ""
-    assert "the ~J classes for J = {}" in out.err
+    code, out, err = run_process(["eval", "-s", str(path), "-f",
+                                  "A v0/{} E v1/{} (v0=v1)", "-n", "16",
+                                  "--team", "0" * 16], timeout=5)
+    assert (code, out, err) == (0, "+ yes\n- no\n", "")
+
+
+def test_wide_exists_answers_in_seconds(tmp_path):
+    """E v1/{} over 2**15 singleton classes once took 17-23 s."""
+    path = tmp_path / "u2.ifgs"
+    path.write_text("universe 2\n")
+    code, out, err = run_process(["truth", "-s", str(path), "-f",
+                                  "A v0/{} E v1/{} (v0=v1)", "-n", "15"],
+                                 timeout=10)
+    assert (code, out, err) == (0, "true\n", "")
+
+
+def test_verifier_over_two_large_antichains_is_refused_at_once(tmp_path):
+    """Each E below has 2**16 entries, so the \\/ pairs 2**32 of them; the
+    guard refuses before the pairs are made."""
+    path = tmp_path / "u2.ifgs"
+    path.write_text("universe 2\n")
+    code, out, err = run_process(
+        ["eval", "-s", str(path), "-f",
+         "(E v1/{0,1} (v0=v1) \\/{} E v1/{0,1} (v0=v1))", "-n", "6",
+         "--team", _all_valuations(2, 6)], limit_bytes=1 << 30, timeout=5)
+    assert (code, out) == (2, "")
+    assert "strategy search space too large" in err

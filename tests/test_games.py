@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import classical
 from ifg import syntax, trump, games
-from ifg.errors import IfgError
+from ifg.errors import GuardExceeded, IfgError
 from ifg.model import Structure, Space, bits, eval_atomic
 from teamsem import TeamSemantics
 
@@ -34,6 +35,17 @@ def test_empty_team_wins_for_both_players():
         assert won and strategy.moves == {}
 
 
+def test_winning_mask_refuses_counts_above_the_meaning_guard():
+    """It unions powersets over all 2**count teams: at count 32 that ran
+    out of memory instead of being refused."""
+    ga = games.GameAnalyzer(EQ2, 5)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded, match=r"needs 32 valuations "
+                                            r"\(limit 20\)"):
+        ga.winning_mask(syntax.parse("v0=v0", 5).root, 1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_matching_pennies_has_no_winner():
     ga = games.GameAnalyzer(EQ2, 2)
     f = syntax.parse("A v0/{} E v1/{0} (v0=v1)", 2)
@@ -50,7 +62,7 @@ def test_copy_strategy_wins():
     assert won
     assert ga.verify_strategy(f, full, strategy)
     # the strategy copies v0 into v1 on each singleton information class
-    moves = {cid: move for (pos, cid), move in strategy.moves.items()
+    moves = {rep: move for (pos, rep), move in strategy.moves.items()
              if pos == ()}
     for i in range(ga.space.count):
         assert moves[i] == ga.space.decode(i)[0]
@@ -141,8 +153,8 @@ def test_double_dual_prefixes_positions():
     _, strategy = ga.has_winning_strategy(f, ga.space.full_team, 1)
     twice = games.dualize(games.dualize(strategy))
     assert twice.owner == strategy.owner
-    assert twice.moves == {((0, 0) + pos, cid): move
-                           for (pos, cid), move in strategy.moves.items()}
+    assert twice.moves == {((0, 0) + pos, rep): move
+                           for (pos, rep), move in strategy.moves.items()}
 
 
 # -- plays ---------------------------------------------------------------------
@@ -164,8 +176,8 @@ def test_play_out_with_falsifier_moves():
     ga = games.GameAnalyzer(EQ2, 1)
     f = syntax.parse("A v0/{} (v0=v0)", 1)
     chooser = games.Strategy(0)
-    for cid in range(ga.space.count):
-        chooser.add(ga.space, (0,), frozenset(), cid, 1)
+    for val in range(ga.space.count):
+        chooser.add(ga.space, (0,), frozenset(), val, 1)
     play, winner = ga.play_out(f, {0: chooser}, 0)
     assert winner == 1  # v0=v0 holds whatever the falsifier picks
     assert any(eps == 0 for _, _, eps in play)
@@ -231,6 +243,12 @@ def test_every_entry_checks_the_variable_count():
 # -- the move function against the walkers it replaced ---------------------------
 
 
+def _lowest(space, val, jset):
+    """The key of val's ~J class: val with its J digits set to 0."""
+    digits = space.decode(val)
+    return space.encode([0 if k in jset else d for k, d in enumerate(digits)])
+
+
 def _ref_play_out(ga, formula, strategies, start):
     node = syntax.checked_root(formula, ga.nvars)
     space = ga.space
@@ -246,8 +264,7 @@ def _ref_play_out(ga, formula, strategies, start):
             mover = strategies.get(eps)
             if mover is None:
                 raise IfgError("no strategy for player %d" % eps)
-            _, class_of = space.classes(node.jset)
-            if mover.move_at(pos, class_of[val]) == "left":
+            if mover.move_at(pos, _lowest(space, val, node.jset)) == "left":
                 node, pos = node.left, pos + (1,)
             else:
                 node, pos = node.right, pos + (2,)
@@ -255,8 +272,7 @@ def _ref_play_out(ga, formula, strategies, start):
             mover = strategies.get(eps)
             if mover is None:
                 raise IfgError("no strategy for player %d" % eps)
-            _, class_of = space.classes(node.jset)
-            move = mover.move_at(pos, class_of[val])
+            move = mover.move_at(pos, _lowest(space, val, node.jset))
             val = space.variant_index(val, node.n, move)
             node, pos = node.child, pos + (3,)
         play.append((pos, val, eps))
@@ -275,16 +291,15 @@ def _ref_verify_strategy(ga, formula, team, strategy):
             return wins(node.child, pos + (0,), val, 1 - eps)
         elif isinstance(node, syntax.Or):
             if eps == owner:
-                _, class_of = space.classes(node.jset)
-                if strategy.move_at(pos, class_of[val]) == "left":
+                move = strategy.move_at(pos, _lowest(space, val, node.jset))
+                if move == "left":
                     return wins(node.left, pos + (1,), val, eps)
                 return wins(node.right, pos + (2,), val, eps)
             return (wins(node.left, pos + (1,), val, eps)
                     and wins(node.right, pos + (2,), val, eps))
         else:
             if eps == owner:
-                _, class_of = space.classes(node.jset)
-                b = strategy.move_at(pos, class_of[val])
+                b = strategy.move_at(pos, _lowest(space, val, node.jset))
                 return wins(node.child, pos + (3,),
                             space.variant_index(val, node.n, b), eps)
             return all(wins(node.child, pos + (3,),
@@ -344,12 +359,13 @@ def _random_strategy(ga, formula, owner, rng):
     strategy = games.Strategy(owner)
     for pos, node, _ in formula.subformulas():
         if isinstance(node, (syntax.Or, syntax.Exists)):
-            masks, _ = ga.space.classes(node.jset)
-            for cid in range(len(masks)):
+            reps = {_lowest(ga.space, val, node.jset)
+                    for val in range(ga.space.count)}
+            for rep in sorted(reps):
                 move = (rng.choice(("left", "right"))
                         if isinstance(node, syntax.Or)
                         else rng.randrange(ga.space.size))
-                strategy.add(ga.space, pos, node.jset, cid, move)
+                strategy.add(ga.space, pos, node.jset, rep, move)
     return strategy
 
 

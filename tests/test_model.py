@@ -141,30 +141,96 @@ def test_agreement_monotone_in_jset():
 
 def test_classes_partition():
     for jset in JSETS:
-        masks, class_of = SP.classes(jset)
+        masks = SP.classes(jset)
         union = 0
-        for cid, m in enumerate(masks):
+        for m in masks:
             assert m
             assert union & m == 0
             union |= m
-            for i in bits(m):
-                assert class_of[i] == cid
-                assert all(SP.agree_outside(i, j, jset) for j in bits(m))
+            assert all(SP.agree_outside(i, j, jset)
+                       for i in bits(m) for j in bits(m))
         assert union == SP.full_team
+        keys = {tuple(d for k, d in enumerate(SP.decode(i)) if k not in jset)
+                for i in range(SP.count)}
+        assert len(masks) == len(keys)
+        lows = [bits(m)[0] for m in masks]
+        assert lows == sorted(lows)
+
+
+def _ref_parts(space, jset):
+    """(lowest valuation, mask) of each ~J class, grouped by the digits of
+    its valuations outside J, by ascending lowest valuation."""
+    groups = {}
+    for i in range(space.count):
+        val = space.decode(i)
+        key = tuple(val[k] for k in range(space.nvars) if k not in jset)
+        groups.setdefault(key, []).append(i)
+    return [(members[0], sum(1 << i for i in members))
+            for members in groups.values()]
+
+
+def _class_shapes():
+    """(K, N, every J) with K from 0 to 5 and N <= 4, plus a J with
+    variables past N, and count 32 at K=2, N=5."""
+    for size, nvars in [(k, n) for k in range(6) for n in range(5)] + [(2, 5)]:
+        jsets = [frozenset(c) for r in range(nvars + 1)
+                 for c in itertools.combinations(range(nvars), r)]
+        if nvars == 3:
+            jsets.append(frozenset({0, 1, 2, 5}))
+        yield size, nvars, jsets
+
+
+def _teams(space, rng):
+    """Every team at counts up to 9, else the extremes and a sample."""
+    if space.count <= 9:
+        return range(1 << space.count)
+    return [0, space.full_team] + [rng.getrandbits(space.count)
+                                   for _ in range(12)]
+
+
+def test_parts_lowest_and_classes_match_digit_grouping():
+    rng = random.Random(19)
+    for size, nvars, jsets in _class_shapes():
+        for jset in jsets:
+            space = Space(size, nvars)
+            ref = _ref_parts(space, jset)
+            assert space.classes(jset) == [m for _, m in ref]
+            for team in _teams(space, rng):
+                want = [(low, m & team) for low, m in ref if m & team]
+                assert space.parts(jset, team) == [p for _, p in want]
+                assert space.lowest(team, jset) == sum(1 << low
+                                                       for low, _ in want)
+
+
+def test_digit_slices_match_the_valuation_loop():
+    for size in range(6):
+        for nvars in range(5):
+            space = Space(size, nvars)
+            for n in range(nvars + 2):
+                masks = [0] * size
+                for i in range(space.count):
+                    digit = space.decode(i)[n] if n < nvars else 0
+                    if digit < size:
+                        masks[digit] |= 1 << i
+                repeat = sum(1 << (b * size ** n) for b in range(size))
+                assert space._digit_slices(n) == (masks, repeat)
 
 
 def test_class_table_limit(monkeypatch):
-    """A ~J class table is refused, before it is built, when its class
-    count times the valuation count exceeds CLASS_TABLE_LIMIT."""
+    """The ~J classes a query meets are refused, before their masks are
+    built, when their count times the valuation count exceeds
+    CLASS_TABLE_LIMIT."""
     assert model.CLASS_TABLE_LIMIT == 1 << 30
     monkeypatch.setattr(model, "CLASS_TABLE_LIMIT", 9 * 27)
     sp = Space(3, 3)
-    assert len(sp.classes(frozenset({2}))[0]) == 9  # at the limit
-    assert len(sp.classes(frozenset({0, 1, 2, 5}))[0]) == 1
+    assert len(sp.classes(frozenset({2}))) == 9  # at the limit
+    assert len(sp.classes(frozenset({0, 1, 2, 5}))) == 1
     with pytest.raises(GuardExceeded, match=r"J = \{\} need 27 masks of 27 "
                                             r"bits, above the limit of 243"):
         sp.classes(frozenset())
-    assert frozenset() not in sp._classes
+    assert (frozenset(), sp.full_team) not in sp._classes
+    # a team that meets 9 classes of J = {} is within the limit
+    assert len(sp.parts(frozenset(), (1 << 9) - 1)) == 9
 
 
 def test_class_repr():
@@ -203,8 +269,7 @@ def test_team_classes_and_touched():
                 assert got & b == 0
                 got |= b
             assert got == team
-            _, class_of = SP.classes(jset)
-            assert len(blocks) == len({class_of[i] for i in bits(team)})
+            assert len(blocks) == sum(1 for c in SP.classes(jset) if c & team)
 
 
 def test_saturated_splits_are_saturated_partitions():
